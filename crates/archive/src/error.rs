@@ -61,10 +61,6 @@ pub enum ArchiveError {
         /// Number of journal bytes that made it to stable storage.
         persisted_bytes: usize,
     },
-    /// An append was rejected before any byte was written: the band does
-    /// not fit the archive (wrong width, non-tile-aligned height, or a
-    /// non-contiguous row offset in a replayed record).
-    AppendMisaligned(String),
 }
 
 impl fmt::Display for ArchiveError {
@@ -96,7 +92,6 @@ impl fmt::Display for ArchiveError {
                     "journal writer crashed; {persisted_bytes} bytes persisted"
                 )
             }
-            ArchiveError::AppendMisaligned(what) => write!(f, "append misaligned: {what}"),
         }
     }
 }

@@ -1,8 +1,13 @@
-//! Dense 2-D raster grid, the workhorse container for imagery and DEMs.
+//! Dense 2-D raster grids: [`Grid2`], the mutable workhorse container for
+//! imagery and DEMs, and [`ChunkedGrid`], the immutable row-chunked storage
+//! behind pyramids and tile stores, whose clones and extensions share
+//! unchanged rows.
 
 use crate::error::ArchiveError;
 use crate::extent::{CellCoord, GeoExtent};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A dense, row-major 2-D grid of values with an associated geographic
 /// extent.
@@ -160,6 +165,20 @@ impl<T> Grid2<T> {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
+    /// Consecutive rows as one row-major slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.end > self.rows()` or `rows.start > rows.end`.
+    pub fn row_range(&self, rows: Range<usize>) -> &[T] {
+        assert!(
+            rows.end <= self.rows,
+            "rows {rows:?} out of bounds {}",
+            self.rows
+        );
+        &self.data[rows.start * self.cols..rows.end * self.cols]
+    }
+
     /// Applies `f` to every cell, producing a new grid of the same shape and
     /// extent.
     pub fn map<U, F: FnMut(&T) -> U>(&self, f: F) -> Grid2<U> {
@@ -283,6 +302,175 @@ impl Grid2<f64> {
             Some((mn, mx)) if mx > mn => self.map(|&v| lo + (v - mn) / (mx - mn) * (hi - lo)),
             _ => self.map(|_| lo),
         }
+    }
+}
+
+/// Rows per chunk of a [`ChunkedGrid`]. A power of two, so a row's chunk is
+/// a shift and its offset inside the chunk a mask.
+pub const CHUNK_ROWS: usize = 16;
+const CHUNK_SHIFT: u32 = CHUNK_ROWS.trailing_zeros();
+
+/// An immutable row-major grid stored as `Arc`-shared chunks of
+/// [`CHUNK_ROWS`] rows (the last chunk holds the remainder).
+///
+/// Cloning copies chunk pointers, never cells. [`extended`](Self::extended)
+/// builds a grid that differs from `self` from some row on: it shares
+/// every chunk that ends before that row and builds only the chunks from
+/// there to the end, so growing a grid by a band costs O(band + chunk)
+/// rows, not O(grid).
+///
+/// # Examples
+///
+/// ```
+/// use mbir_archive::grid::{ChunkedGrid, Grid2, CHUNK_ROWS};
+/// use std::sync::Arc;
+///
+/// let rows = 2 * CHUNK_ROWS;
+/// let old = ChunkedGrid::from_grid(Grid2::from_fn(rows, 3, |r, c| r * 3 + c));
+/// // Append four rows: the untouched chunks are shared, not copied.
+/// let new = old.extended(rows, rows + 4, |range| range.start * 3..range.end * 3);
+/// assert_eq!(new.rows(), rows + 4);
+/// assert_eq!(new.row(rows + 1), &[(rows + 1) * 3, (rows + 1) * 3 + 1, (rows + 1) * 3 + 2]);
+/// assert!(Arc::ptr_eq(&old.chunks()[1], &new.chunks()[1]));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChunkedGrid<T> {
+    rows: usize,
+    cols: usize,
+    chunks: Vec<Arc<[T]>>,
+}
+
+impl<T> ChunkedGrid<T> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The chunks, in row order: chunk `i` holds rows
+    /// `i * CHUNK_ROWS..min((i + 1) * CHUNK_ROWS, rows())`.
+    pub fn chunks(&self) -> &[Arc<[T]>] {
+        &self.chunks
+    }
+
+    /// One row as a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= rows()`.
+    pub fn row(&self, row: usize) -> &[T] {
+        assert!(row < self.rows, "row {row} out of bounds {}", self.rows);
+        let start = (row & (CHUNK_ROWS - 1)) * self.cols;
+        &self.chunks[row >> CHUNK_SHIFT][start..start + self.cols]
+    }
+
+    /// Value at `(row, col)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchiveError::OutOfBounds`] when outside the grid.
+    pub fn get(&self, row: usize, col: usize) -> Result<&T, ArchiveError> {
+        // A row past the end misses its chunk or lands past the end of
+        // the last, partial one, so the chunk lookups check `row`.
+        let cell = (col < self.cols)
+            .then(|| self.chunks.get(row >> CHUNK_SHIFT))
+            .flatten()
+            .and_then(|chunk| chunk.get((row & (CHUNK_ROWS - 1)) * self.cols + col));
+        cell.ok_or(ArchiveError::OutOfBounds {
+            row,
+            col,
+            rows: self.rows,
+            cols: self.cols,
+        })
+    }
+}
+
+impl<T: Clone> ChunkedGrid<T> {
+    /// Converts a grid, copying it chunk by chunk and then freeing its
+    /// buffer: the conversion holds this one grid twice, briefly.
+    pub fn from_grid(grid: Grid2<T>) -> Self {
+        let cols = grid.cols();
+        let chunks = grid
+            .as_slice()
+            .chunks(CHUNK_ROWS * cols)
+            .map(Arc::from)
+            .collect();
+        ChunkedGrid {
+            rows: grid.rows(),
+            cols,
+            chunks,
+        }
+    }
+
+    /// Builds a `rows x cols` grid one chunk at a time: `fill(range)`
+    /// yields the cells of the rows in `range` (within one chunk) in
+    /// row-major order. An exact-length iterator, such as a `map` over a
+    /// slice or a range, is written straight into the chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0 || cols == 0`, or if `fill` yields other than
+    /// `range.len() * cols` cells.
+    pub fn from_rows<I, F>(rows: usize, cols: usize, fill: F) -> Self
+    where
+        I: Iterator<Item = T>,
+        F: FnMut(Range<usize>) -> I,
+    {
+        assert!(rows > 0 && cols > 0, "grid dimensions must be non-zero");
+        ChunkedGrid {
+            rows: 0,
+            cols,
+            chunks: Vec::new(),
+        }
+        .extended(0, rows, fill)
+    }
+
+    /// A `rows`-row grid equal to `self` before row `first_dirty` and
+    /// filled by `fill` (as in [`from_rows`](Self::from_rows)) from
+    /// `first_dirty` on.
+    ///
+    /// Every chunk that ends at or before `first_dirty` is shared with
+    /// `self`; the chunk holding `first_dirty` copies its clean rows, and
+    /// only rows `first_dirty..rows` are filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first_dirty > self.rows()`, `rows < first_dirty`, or
+    /// `fill` yields other than `range.len() * cols()` cells.
+    pub fn extended<I, F>(&self, first_dirty: usize, rows: usize, mut fill: F) -> Self
+    where
+        I: Iterator<Item = T>,
+        F: FnMut(Range<usize>) -> I,
+    {
+        assert!(
+            first_dirty <= self.rows && first_dirty <= rows,
+            "first dirty row {first_dirty} beyond {} old or {rows} new rows",
+            self.rows
+        );
+        let cols = self.cols;
+        let kept = first_dirty >> CHUNK_SHIFT;
+        let mut chunks = Vec::with_capacity(rows.div_ceil(CHUNK_ROWS));
+        chunks.extend_from_slice(&self.chunks[..kept]);
+        for start in (kept * CHUNK_ROWS..rows).step_by(CHUNK_ROWS) {
+            let end = (start + CHUNK_ROWS).min(rows);
+            let dirty = first_dirty.clamp(start, end);
+            let clean = self
+                .chunks
+                .get(chunks.len())
+                .map_or(&[][..], |c| &c[..(dirty - start) * cols]);
+            let chunk: Arc<[T]> = clean.iter().cloned().chain(fill(dirty..end)).collect();
+            assert_eq!(
+                chunk.len(),
+                (end - start) * cols,
+                "rows {start}..{end} are not {cols} wide"
+            );
+            chunks.push(chunk);
+        }
+        ChunkedGrid { rows, cols, chunks }
     }
 }
 
@@ -418,6 +606,62 @@ mod tests {
         assert_eq!(g.min_max(), Some((-1.0, 2.0)));
         let all_nan = Grid2::filled(2, 2, f64::NAN);
         assert_eq!(all_nan.min_max(), None);
+    }
+
+    fn chunked_eq_grid(chunked: &ChunkedGrid<usize>, grid: &Grid2<usize>) -> bool {
+        chunked.rows() == grid.rows()
+            && chunked.cols() == grid.cols()
+            && (0..grid.rows()).all(|r| chunked.row(r) == grid.row(r))
+    }
+
+    #[test]
+    fn chunked_from_grid_keeps_every_row() {
+        for rows in [
+            1,
+            CHUNK_ROWS - 1,
+            CHUNK_ROWS,
+            CHUNK_ROWS + 1,
+            3 * CHUNK_ROWS + 5,
+        ] {
+            let grid = Grid2::from_fn(rows, 3, |r, c| r * 3 + c);
+            let chunked = ChunkedGrid::from_grid(grid.clone());
+            assert!(chunked_eq_grid(&chunked, &grid), "{rows} rows");
+            assert_eq!(chunked.chunks().len(), rows.div_ceil(CHUNK_ROWS));
+            let built =
+                ChunkedGrid::from_rows(rows, 3, |range| grid.row_range(range).iter().copied());
+            assert_eq!(built, chunked);
+            assert_eq!(chunked.get(rows - 1, 2), Ok(&((rows - 1) * 3 + 2)));
+            assert!(chunked.get(rows, 0).is_err());
+            assert!(chunked.get(0, 3).is_err());
+        }
+    }
+
+    #[test]
+    fn chunked_extension_shares_clean_chunks_and_rebuilds_the_rest() {
+        let cell = |r: usize, c: usize| r * 5 + c;
+        let old_rows = 2 * CHUNK_ROWS + 3;
+        let old = ChunkedGrid::from_grid(Grid2::from_fn(old_rows, 5, cell));
+        for first_dirty in 0..=old_rows {
+            let rows = old_rows + 20;
+            let mut filled = Vec::new();
+            let new = old.extended(first_dirty, rows, |range| {
+                filled.extend(range.clone());
+                range.flat_map(move |r| (0..5).map(move |c| cell(r, c)))
+            });
+            assert_eq!(filled, (first_dirty..rows).collect::<Vec<_>>());
+            assert!(chunked_eq_grid(&new, &Grid2::from_fn(rows, 5, cell)));
+            let kept = first_dirty / CHUNK_ROWS;
+            for (i, chunk) in new.chunks().iter().enumerate() {
+                let shared = old.chunks().get(i).is_some_and(|o| Arc::ptr_eq(o, chunk));
+                assert_eq!(shared, i < kept, "dirty row {first_dirty}, chunk {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "are not 2 wide")]
+    fn chunked_fill_must_yield_whole_rows() {
+        let _ = ChunkedGrid::from_rows(3, 2, |range| range);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The checksummed append journal: crash-consistent framing for tile
 //! appends.
 //!
-//! Appendable archives ([`crate::append`]) never mutate committed bytes.
+//! Live archives (`mbir_core::snapshot::LiveArchive`) never mutate
+//! committed bytes.
 //! Every appended row band is first serialized into a self-describing
 //! *frame* and persisted to an append-only journal; only once the frame —
 //! including its trailing commit checksum — is durable does the append

@@ -28,7 +28,6 @@
 //! assert_eq!(grid.cols(), 64);
 //! ```
 
-pub mod append;
 pub mod archive;
 pub mod catalog;
 pub mod dem;
@@ -52,7 +51,6 @@ pub mod tile;
 pub mod weather;
 pub mod welllog;
 
-pub use append::{AppendCommit, AppendableArchive, RecoveryReport};
 pub use archive::Archive;
 pub use catalog::{Catalog, DatasetId, DatasetMeta, Modality};
 pub use dem::Dem;
@@ -60,7 +58,7 @@ pub use error::ArchiveError;
 pub use extent::{CellCoord, GeoExtent};
 pub use fault::{FaultKind, FaultProfile, ResilienceConfig, RetryPolicy, WriteFault};
 pub use gis::{PointFeature, PointLayer};
-pub use grid::Grid2;
+pub use grid::{ChunkedGrid, Grid2};
 pub use integrity::{fnv1a64, PageEnvelope};
 pub use journal::{AppendJournal, AppendRecord, RecoveredJournal, TruncationReason};
 pub use lithology::{ColumnGenerator, Layer, Lithology};

@@ -15,7 +15,7 @@
 use crate::error::ArchiveError;
 use crate::extent::CellCoord;
 use crate::fault::{AttemptOutcome, FaultProfile, FaultRuntime, ResilienceConfig};
-use crate::grid::Grid2;
+use crate::grid::{ChunkedGrid, Grid2};
 use crate::integrity::{corrupt_value, PageEnvelope};
 use crate::stats::AccessStats;
 use std::sync::Mutex;
@@ -55,7 +55,7 @@ use std::sync::Mutex;
 /// ```
 #[derive(Debug)]
 pub struct TileStore {
-    grid: Grid2<f64>,
+    cells: ChunkedGrid<f64>,
     tile: usize,
     tiles_per_row: usize,
     stats: AccessStats,
@@ -65,11 +65,12 @@ pub struct TileStore {
 impl Clone for TileStore {
     /// Clones the store, snapshotting the current fault state (transient
     /// counters, breaker state, probabilistic RNG position). The stats
-    /// handle is shared, as for any [`AccessStats`] clone.
+    /// handle is shared, as for any [`AccessStats`] clone, and the cells
+    /// are shared chunk by chunk, never copied.
     fn clone(&self) -> Self {
         let runtime = self.fault.lock().expect("fault state lock").clone();
         TileStore {
-            grid: self.grid.clone(),
+            cells: self.cells.clone(),
             tile: self.tile,
             tiles_per_row: self.tiles_per_row,
             stats: self.stats.clone(),
@@ -79,7 +80,8 @@ impl Clone for TileStore {
 }
 
 impl TileStore {
-    /// Wraps a grid in a store with `tile x tile` pages.
+    /// Wraps a grid in a store with `tile x tile` pages, converting it to
+    /// a [`ChunkedGrid`].
     ///
     /// # Errors
     ///
@@ -90,7 +92,7 @@ impl TileStore {
         }
         let tiles_per_row = grid.cols().div_ceil(tile);
         Ok(TileStore {
-            grid,
+            cells: ChunkedGrid::from_grid(grid),
             tile,
             tiles_per_row,
             stats: AccessStats::new(),
@@ -99,6 +101,38 @@ impl TileStore {
                 ResilienceConfig::none(),
             )),
         })
+    }
+
+    /// Appends `band`'s rows below the store's, keeping its tile size,
+    /// stats handle and fault state. Every full chunk of the old rows stays
+    /// shared with clones taken before the call, so the cost is
+    /// O(band + one chunk) cells, not O(store). Existing pages keep their
+    /// indices.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchiveError::Misaligned`] when the band's width differs from the
+    /// store's.
+    pub fn extend_rows(&mut self, band: &Grid2<f64>) -> Result<(), ArchiveError> {
+        if band.cols() != self.cols() {
+            return Err(ArchiveError::Misaligned(format!(
+                "band width {} != store width {}",
+                band.cols(),
+                self.cols()
+            )));
+        }
+        let rows = self.rows();
+        self.cells = self.cells.extended(rows, rows + band.rows(), |range| {
+            band.row_range(range.start - rows..range.end - rows)
+                .iter()
+                .copied()
+        });
+        Ok(())
+    }
+
+    /// The stored cells.
+    pub fn cells(&self) -> &ChunkedGrid<f64> {
+        &self.cells
     }
 
     /// Shares an existing stats handle (builder style) so multiple stores
@@ -179,12 +213,12 @@ impl TileStore {
 
     /// Number of rows in the underlying grid.
     pub fn rows(&self) -> usize {
-        self.grid.rows()
+        self.cells.rows()
     }
 
     /// Number of columns in the underlying grid.
     pub fn cols(&self) -> usize {
-        self.grid.cols()
+        self.cells.cols()
     }
 
     /// Tile edge length in cells.
@@ -194,7 +228,7 @@ impl TileStore {
 
     /// Total number of pages.
     pub fn page_count(&self) -> usize {
-        self.grid.rows().div_ceil(self.tile) * self.tiles_per_row
+        self.rows().div_ceil(self.tile) * self.tiles_per_row
     }
 
     /// Page index containing cell `(row, col)`.
@@ -219,8 +253,8 @@ impl TileStore {
         }
         let r0 = (page / self.tiles_per_row) * self.tile;
         let c0 = (page % self.tiles_per_row) * self.tile;
-        let r1 = (r0 + self.tile).min(self.grid.rows());
-        let c1 = (c0 + self.tile).min(self.grid.cols());
+        let r1 = (r0 + self.tile).min(self.rows());
+        let c1 = (c0 + self.tile).min(self.cols());
         Ok((r0, c0, r1, c1))
     }
 
@@ -306,7 +340,7 @@ impl TileStore {
     /// budget, and [`ArchiveError::PageQuarantined`] once the page's
     /// circuit breaker has tripped.
     pub fn read(&self, row: usize, col: usize) -> Result<f64, ArchiveError> {
-        let v = *self.grid.get(row, col)?;
+        let v = *self.cells.get(row, col)?;
         let page = self.page_of(row, col);
         let corrupted = self.access_page(page)?;
         self.stats.record_tuples(1);
@@ -346,9 +380,8 @@ impl TileStore {
         let corrupted = self.access_page(page)?;
         let mut out = Vec::with_capacity((r1 - r0) * (c1 - c0));
         for r in r0..r1 {
-            for c in c0..c1 {
-                out.push((CellCoord::new(r, c), *self.grid.at(r, c)));
-            }
+            let row = &self.cells.row(r)[c0..c1];
+            out.extend((c0..c1).zip(row).map(|(c, &v)| (CellCoord::new(r, c), v)));
         }
         self.stats.record_pages(1);
         self.stats.record_tuples(out.len() as u64);
@@ -416,6 +449,7 @@ impl TileStore {
 mod tests {
     use super::*;
     use crate::fault::RetryPolicy;
+    use crate::grid::CHUNK_ROWS;
 
     fn store_4x4() -> TileStore {
         TileStore::new(Grid2::from_fn(4, 4, |r, c| (r * 4 + c) as f64), 2).unwrap()
@@ -667,6 +701,80 @@ mod tests {
         );
         assert_eq!(s.stats().pages_read(), pages_before);
         assert!(s.is_quarantined(0), "breaker re-trips on the fresh failure");
+    }
+
+    /// Every page's extent and contents, and every cell, as the row-major
+    /// layout of `grid` defines them.
+    fn assert_matches_contiguous_layout(store: &TileStore, grid: &Grid2<f64>, tile: usize) {
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let tiles_per_row = cols.div_ceil(tile);
+        assert_eq!((store.rows(), store.cols()), (rows, cols));
+        assert_eq!(store.page_count(), rows.div_ceil(tile) * tiles_per_row);
+        for page in 0..store.page_count() {
+            let (r0, c0) = ((page / tiles_per_row) * tile, (page % tiles_per_row) * tile);
+            let (r1, c1) = ((r0 + tile).min(rows), (c0 + tile).min(cols));
+            assert_eq!(store.page_extent(page).unwrap(), (r0, c0, r1, c1));
+            let want: Vec<(CellCoord, f64)> = (r0..r1)
+                .flat_map(|r| (c0..c1).map(move |c| (CellCoord::new(r, c), *grid.at(r, c))))
+                .collect();
+            assert_eq!(
+                store.read_page(page).unwrap(),
+                want,
+                "tile {tile} page {page}"
+            );
+        }
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(store.read(r, c).unwrap(), *grid.at(r, c));
+            }
+        }
+    }
+
+    #[test]
+    fn pages_match_the_contiguous_layout_across_chunk_boundaries() {
+        // Tile sizes that do not divide the chunk height, one that does,
+        // and one that spans two chunks; shapes with ragged last pages.
+        for tile in [3, 5, CHUNK_ROWS, 32] {
+            for (rows, cols) in [(2 * CHUNK_ROWS + 7, 11), (CHUNK_ROWS, 1), (37, 32)] {
+                let grid = Grid2::from_fn(rows, cols, |r, c| (r * cols + c) as f64 * 0.5);
+                let store = TileStore::new(grid.clone(), tile).unwrap();
+                assert_matches_contiguous_layout(&store, &grid, tile);
+                // The same rows grown in two ragged extensions.
+                let split = [rows / 3, rows / 3 + rows / 2];
+                let band =
+                    |from: usize, to: usize| grid.window(CellCoord::new(from, 0), to - from, cols);
+                let mut grown = TileStore::new(band(0, split[0]).unwrap(), tile).unwrap();
+                grown
+                    .extend_rows(&band(split[0], split[1]).unwrap())
+                    .unwrap();
+                grown.extend_rows(&band(split[1], rows).unwrap()).unwrap();
+                assert_matches_contiguous_layout(&grown, &grid, tile);
+            }
+        }
+    }
+
+    #[test]
+    fn extend_rows_shares_every_chunk_before_the_first_new_row() {
+        let cell = |r: usize, c: usize| (r * 6 + c) as f64;
+        let rows = 2 * CHUNK_ROWS + 4;
+        let parent = TileStore::new(Grid2::from_fn(rows, 6, cell), 4).unwrap();
+        let mut child = parent.clone();
+        child
+            .extend_rows(&Grid2::from_fn(CHUNK_ROWS + 3, 6, |r, c| cell(rows + r, c)))
+            .unwrap();
+        let (old, new) = (parent.cells().chunks(), child.cells().chunks());
+        for (i, chunk) in new.iter().enumerate() {
+            let shared = old.get(i).is_some_and(|o| std::sync::Arc::ptr_eq(o, chunk));
+            assert_eq!(shared, i < rows / CHUNK_ROWS, "chunk {i}");
+        }
+        // The parent still reads its own rows; the child reads both.
+        assert_eq!(parent.rows(), rows);
+        assert!(parent.read(rows, 0).is_err());
+        assert_eq!(
+            child.read(rows + CHUNK_ROWS + 2, 5).unwrap(),
+            cell(rows + CHUNK_ROWS + 2, 5)
+        );
+        assert!(child.extend_rows(&Grid2::filled(1, 5, 0.0)).is_err());
     }
 
     #[test]

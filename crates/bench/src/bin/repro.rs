@@ -2,7 +2,8 @@
 //!
 //! Usage: `repro [e1|e2|e3|e4|e5|e6|e7|f1|f3|f4|f5|a1|a2|r1|r2|r3|r4|r5|r6|r7|r8|r9|r10|all]
 //! [--threads N] [--legacy] [--seed N] [--load L] [--shards S]
-//! [--kill-shards F] [--small]` (default: all). Output is
+//! [--kill-shards F] [--small]` (default: all); an unknown scenario or
+//! flag prints this usage to stderr and exits with code 2. Output is
 //! Markdown, pasted into EXPERIMENTS.md. The R2 experiment additionally
 //! writes machine-readable scaling numbers to `BENCH_parallel.json`;
 //! `--threads N` caps the thread counts it sweeps (default: the pool's
@@ -105,6 +106,16 @@ use mbir_progressive::features::{progressive_texture_match, tile_features, TileF
 use mbir_progressive::pyramid::AggregatePyramid;
 use std::time::Instant;
 
+/// Every scenario name `repro` accepts besides `all`.
+const SCENARIOS: [&str; 23] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "f1", "f3", "f4", "f5", "a1", "a2", "r1", "r2", "r3",
+    "r4", "r5", "r6", "r7", "r8", "r9", "r10",
+];
+
+const USAGE: &str =
+    "usage: repro [e1|e2|e3|e4|e5|e6|e7|f1|f3|f4|f5|a1|a2|r1|r2|r3|r4|r5|r6|r7|r8|r9|r10|all] \
+[--threads N] [--legacy] [--seed N] [--load L] [--shards S] [--kill-shards F] [--small]";
+
 fn main() {
     let mut which = "all".to_owned();
     let mut threads: Option<usize> = None;
@@ -166,9 +177,12 @@ fn main() {
         } else if args[i] == "--small" {
             small = true;
             i += 1;
-        } else {
+        } else if args[i] == "all" || SCENARIOS.contains(&args[i].as_str()) {
             which = args[i].clone();
             i += 1;
+        } else {
+            eprintln!("unknown argument `{}`\n{USAGE}", args[i]);
+            std::process::exit(2);
         }
     }
     let threads = threads.unwrap_or_else(|| WorkerPool::with_default_parallelism().threads());

@@ -1,8 +1,7 @@
 //! Snapshot-isolated live archives: crash-consistent appends published as
 //! immutable epochs.
 //!
-//! [`LiveArchive`] is the query-side face of the append subsystem
-//! ([`mbir_archive::append`]): a multi-attribute grid archive that grows by
+//! [`LiveArchive`] is a multi-attribute grid archive that grows by
 //! journaled, tile-row-aligned appends and publishes every committed state
 //! as an immutable, `Arc`-shared [`EpochSnapshot`]. Queries — sequential,
 //! parallel, batched, or sharded — run against a snapshot and therefore
@@ -18,14 +17,26 @@
 //!    attribute, all carrying the same row offset). A crash here (an armed
 //!    [`WriteFault`](mbir_archive::fault::WriteFault)) leaves at most a
 //!    torn suffix that recovery provably truncates.
-//! 2. **Build** — the working grids are extended, the per-attribute
-//!    pyramids are patched incrementally
-//!    ([`AggregatePyramid::extend_rows`], bit-identical to a full
-//!    rebuild), and fresh [`TileStore`]s are constructed. Nothing is
-//!    visible to readers yet.
+//! 2. **Build** — epoch N+1 is built from epoch N's snapshot: each
+//!    attribute's pyramid and tile store is cloned (chunk pointers only)
+//!    and extended by its band ([`AggregatePyramid::extend_rows`],
+//!    bit-identical to a full rebuild, and [`TileStore::extend_rows`]).
+//!    Nothing is visible to readers yet.
 //! 3. **Swap** — one atomic pointer swap publishes the new
 //!    [`EpochSnapshot`]. A reader observes either the old epoch or the
 //!    new one, complete — never a half-built state.
+//!
+//! # What a commit costs
+//!
+//! Pyramid levels and store cells are
+//! [`ChunkedGrid`](mbir_archive::grid::ChunkedGrid)s: immutable,
+//! `Arc`-shared chunks of [`CHUNK_ROWS`](mbir_archive::grid::CHUNK_ROWS)
+//! rows. Extending one shares every chunk that ends before its first
+//! dirty row and rebuilds only the chunks from there on, so epoch N+1
+//! shares all but the last chunk or two of every level and store with
+//! epoch N. A commit costs O(band·cols + levels·chunk) cells per
+//! attribute, whatever the archive's size, and the archive state is held
+//! once: the writer keeps no working copy beside the published snapshot.
 //!
 //! Because appends are tile-row aligned, every page of a committed prefix
 //! is immutable: snapshots of different epochs share page *contents* for
@@ -42,7 +53,7 @@
 //! a *group* of one record per attribute, so a crash that lands between
 //! two attribute records leaves a trailing partial group that recovery
 //! also drops (counted separately in [`LiveRecoveryReport`]). The result
-//! is exactly the committed-epoch prefix: bit-identical grids, pyramids,
+//! is exactly the committed-epoch prefix: bit-identical stores, pyramids,
 //! and journal bytes to an archive that never crashed.
 
 use crate::error::CoreError;
@@ -173,11 +184,7 @@ pub struct LiveRecoveryReport {
 #[derive(Debug)]
 pub struct LiveArchive {
     tile: usize,
-    cols: usize,
-    grids: Vec<Grid2<f64>>,
-    pyramids: Vec<AggregatePyramid>,
     journal: AppendJournal,
-    epoch: u64,
     stats: AccessStats,
     published: Arc<Mutex<Arc<EpochSnapshot>>>,
 }
@@ -208,24 +215,23 @@ impl LiveArchive {
                 "base rows {rows} not a multiple of tile {tile}"
             )));
         }
-        let pyramids: Vec<AggregatePyramid> = bases.iter().map(AggregatePyramid::build).collect();
-        let live = LiveArchive {
-            tile,
-            cols,
-            grids: bases,
+        let stats = AccessStats::new();
+        let pyramids = bases.iter().map(AggregatePyramid::build).collect();
+        let stores = bases
+            .into_iter()
+            .map(|g| TileStore::new(g, tile).map(|s| s.with_stats(stats.clone())))
+            .collect::<Result<Vec<_>, _>>()?;
+        let epoch0 = EpochSnapshot {
+            epoch: SnapshotEpoch { epoch: 0, rows },
             pyramids,
-            journal: AppendJournal::new(),
-            epoch: 0,
-            stats: AccessStats::new(),
-            published: Arc::new(Mutex::new(Arc::new(EpochSnapshot {
-                epoch: SnapshotEpoch { epoch: 0, rows: 0 },
-                pyramids: Vec::new(),
-                stores: Vec::new(),
-            }))),
+            stores,
         };
-        let initial = live.build_snapshot()?;
-        *live.published.lock().expect("snapshot swap lock") = Arc::new(initial);
-        Ok(live)
+        Ok(LiveArchive {
+            tile,
+            journal: AppendJournal::new(),
+            stats,
+            published: Arc::new(Mutex::new(Arc::new(epoch0))),
+        })
     }
 
     /// Arms a write fault on the shared journal (builder style) — the
@@ -250,17 +256,17 @@ impl LiveArchive {
 
     /// Number of attributes.
     pub fn attrs(&self) -> usize {
-        self.grids.len()
+        self.snapshot().stores.len()
     }
 
     /// Committed rows.
     pub fn rows(&self) -> usize {
-        self.grids[0].rows()
+        self.snapshot().rows()
     }
 
     /// Columns per attribute.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.snapshot().stores[0].cols()
     }
 
     /// Tile size (appends are multiples of this many rows).
@@ -270,10 +276,7 @@ impl LiveArchive {
 
     /// Current commit epoch (0 = base, +1 per committed append).
     pub fn epoch(&self) -> SnapshotEpoch {
-        SnapshotEpoch {
-            epoch: self.epoch,
-            rows: self.rows(),
-        }
+        self.snapshot().epoch()
     }
 
     /// Whether the journal writer has crashed (an armed write fault
@@ -299,29 +302,14 @@ impl LiveArchive {
     /// after observing a commit, so only the append frontier leaves its
     /// cache.
     pub fn first_page_of_row(&self, row: usize) -> usize {
-        let tiles_per_row = self.cols.div_ceil(self.tile);
+        let tiles_per_row = self.cols().div_ceil(self.tile);
         (row / self.tile) * tiles_per_row
     }
 
-    fn build_snapshot(&self) -> Result<EpochSnapshot, CoreError> {
-        let stores = self
-            .grids
-            .iter()
-            .map(|g| TileStore::new(g.clone(), self.tile).map(|s| s.with_stats(self.stats.clone())))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(EpochSnapshot {
-            epoch: SnapshotEpoch {
-                epoch: self.epoch,
-                rows: self.rows(),
-            },
-            pyramids: self.pyramids.clone(),
-            stores,
-        })
-    }
-
     /// Appends one band per attribute as a single commit: journals every
-    /// band (step 1), extends the working grids and pyramids and builds
-    /// fresh stores (step 2), then atomically publishes the new epoch
+    /// band (step 1), builds the next epoch from the current one by
+    /// extending clones of its pyramids and stores, which share every
+    /// untouched chunk (step 2), then atomically publishes the new epoch
     /// (step 3). Returns the new epoch.
     ///
     /// # Errors
@@ -331,14 +319,15 @@ impl LiveArchive {
     /// [`CoreError::Archive`] wrapping
     /// [`JournalCrashed`](mbir_archive::error::ArchiveError::JournalCrashed)
     /// when an armed write fault fires (or already fired): the published
-    /// snapshot and working state are unchanged, exactly like a dead
-    /// process — recovery sees only what the journal persisted.
+    /// snapshot is unchanged, exactly like a dead process — recovery sees
+    /// only what the journal persisted.
     pub fn append(&mut self, bands: &[Grid2<f64>]) -> Result<SnapshotEpoch, CoreError> {
-        if bands.len() != self.grids.len() {
+        let head = self.snapshot();
+        if bands.len() != head.stores.len() {
             return Err(CoreError::Query(format!(
                 "append carries {} bands, archive has {} attributes",
                 bands.len(),
-                self.grids.len()
+                head.stores.len()
             )));
         }
         let height = bands.first().map(|b| b.rows()).unwrap_or(0);
@@ -348,43 +337,47 @@ impl LiveArchive {
                 self.tile
             )));
         }
-        if bands
-            .iter()
-            .any(|b| b.rows() != height || b.cols() != self.cols)
-        {
+        let cols = head.stores[0].cols();
+        if bands.iter().any(|b| b.rows() != height || b.cols() != cols) {
             return Err(CoreError::Query(
                 "append bands must share the archive width and one height".into(),
             ));
         }
         // Step 1: journal every attribute's band. A crash mid-group leaves
         // a torn group that recovery drops whole.
-        let row_offset = self.rows();
+        let row_offset = head.rows();
         for band in bands {
             self.journal.append(row_offset, band)?;
         }
-        // Step 2: build the next epoch's state off to the side.
-        for (grid, band) in self.grids.iter_mut().zip(bands) {
-            let mut data = Vec::with_capacity(grid.len() + band.len());
-            data.extend_from_slice(grid.as_slice());
-            data.extend_from_slice(band.as_slice());
-            *grid = Grid2::from_vec(row_offset + height, self.cols, data)
-                .expect("append geometry validated above");
-        }
-        for (pyramid, band) in self.pyramids.iter_mut().zip(bands) {
+        // Step 2: build the next epoch off to the side, sharing every
+        // chunk the bands leave untouched.
+        let mut pyramids = head.pyramids.clone();
+        let mut stores = head.stores.clone();
+        for ((pyramid, store), band) in pyramids.iter_mut().zip(&mut stores).zip(bands) {
             pyramid.extend_rows(band)?;
+            store.extend_rows(band)?;
         }
-        self.epoch += 1;
-        let snapshot = self.build_snapshot()?;
+        let epoch = SnapshotEpoch {
+            epoch: head.epoch.epoch + 1,
+            rows: row_offset + height,
+        };
+        let next = EpochSnapshot {
+            epoch,
+            pyramids,
+            stores,
+        };
         // Step 3: one atomic swap publishes the complete epoch.
-        *self.published.lock().expect("snapshot swap lock") = Arc::new(snapshot);
-        Ok(self.epoch())
+        *self.published.lock().expect("snapshot swap lock") = Arc::new(next);
+        Ok(epoch)
     }
 
     /// Replays journal bytes onto the base grids, restoring exactly the
     /// committed prefix: only full attribute groups that splice
-    /// contiguously are applied, and the restored archive's grids,
+    /// contiguously are applied, and the restored archive's stores,
     /// pyramids, published snapshot, and journal bytes are bit-identical
-    /// to an archive that committed those epochs and never crashed.
+    /// to an archive that committed those epochs and never crashed. Each
+    /// group replays through [`append`](Self::append), so recovery costs
+    /// O(band) per epoch, not O(archive).
     ///
     /// # Errors
     ///
@@ -414,7 +407,7 @@ impl LiveArchive {
                 && height % tile == 0
                 && group.iter().all(|r| {
                     r.row_offset == expected_rows
-                        && r.band.cols() == live.cols
+                        && r.band.cols() == live.cols()
                         && r.band.rows() == height
                 });
             if !fits {
@@ -442,7 +435,7 @@ impl LiveArchive {
         let committed_bytes = live.journal.bytes().len();
         debug_assert!(journal_bytes.starts_with(live.journal.bytes()));
         let report = LiveRecoveryReport {
-            applied: live.epoch,
+            applied: live.epoch().epoch,
             committed_bytes,
             dropped_bytes: journal_bytes.len() - committed_bytes,
             dropped_partial_records,
@@ -456,6 +449,7 @@ impl LiveArchive {
 mod tests {
     use super::*;
     use crate::resilient::ExecutionBudget;
+    use mbir_archive::grid::{ChunkedGrid, CHUNK_ROWS};
     use mbir_models::linear::LinearModel;
 
     fn base(attr: u64) -> Grid2<f64> {
@@ -675,6 +669,99 @@ mod tests {
             });
         });
         assert_eq!(reader.current().epoch().epoch, 8);
+    }
+
+    #[test]
+    fn recovery_stops_at_a_non_contiguous_group() {
+        // Splice the second commit of an archive with a taller base after
+        // the first commit of ours: every frame verifies and the sequence
+        // numbers run on, but the second group's row offset skips rows.
+        let ours = clean_after(1);
+        let mut theirs = LiveArchive::new(vec![Grid2::filled(8, 6, 0.0); 2], 2).unwrap();
+        theirs.append(&[band(0, 7), band(1, 7)]).unwrap();
+        theirs.append(&[band(0, 8), band(1, 8)]).unwrap();
+        let theirs = theirs.journal_bytes();
+        let mut spliced = ours.journal_bytes().to_vec();
+        spliced.extend_from_slice(&theirs[theirs.len() / 2..]);
+        let (rec, report) = LiveArchive::recover(vec![base(0), base(1)], 2, &spliced).unwrap();
+        assert_eq!(report.applied, 1, "only the contiguous prefix replays");
+        assert_eq!(report.truncation, TruncationReason::BadGeometry);
+        assert_eq!(report.committed_bytes, ours.journal_bytes().len());
+        assert_eq!(report.dropped_bytes, theirs.len() / 2);
+        assert_eq!(report.dropped_partial_records, 0);
+        assert_eq!(rec.rows(), 6);
+        assert!(snapshots_eq(&rec.snapshot(), &ours.snapshot()));
+    }
+
+    #[test]
+    fn epochs_share_every_chunk_before_the_append_frontier() {
+        let rows = 2 * CHUNK_ROWS + 4;
+        let bases = (0..2)
+            .map(|a| Grid2::from_fn(rows, 6, |r, c| (a * 1000 + r * 6 + c) as f64))
+            .collect();
+        let mut live = LiveArchive::new(bases, 4).unwrap();
+        let parent = live.snapshot();
+        let bands: Vec<_> = (0..2).map(|_| Grid2::filled(8, 6, -1.0)).collect();
+        live.append(&bands).unwrap();
+        let child = live.snapshot();
+        for (old, new) in parent.stores().iter().zip(child.stores()) {
+            assert_eq!(shared_chunks(old.cells(), new.cells()), rows / CHUNK_ROWS);
+        }
+        for (old, new) in parent.pyramids().iter().zip(child.pyramids()) {
+            for level in 0..old.levels() {
+                let dirty = rows >> level;
+                assert_eq!(
+                    shared_chunks(old.level(level), new.level(level)),
+                    dirty / CHUNK_ROWS,
+                    "level {level}"
+                );
+            }
+        }
+    }
+
+    /// How many chunks `new` shares with `old` (the same allocation at the
+    /// same index).
+    fn shared_chunks<T>(old: &ChunkedGrid<T>, new: &ChunkedGrid<T>) -> usize {
+        new.chunks()
+            .iter()
+            .zip(old.chunks())
+            .filter(|(n, o)| Arc::ptr_eq(n, o))
+            .count()
+    }
+
+    /// Every stored cell and every pyramid cell of a snapshot, as bits.
+    fn fingerprint(snap: &EpochSnapshot) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for store in snap.stores() {
+            for r in 0..store.rows() {
+                bits.extend(store.cells().row(r).iter().map(|v| v.to_bits()));
+            }
+        }
+        for pyramid in snap.pyramids() {
+            for level in 0..pyramid.levels() {
+                let grid = pyramid.level(level);
+                for r in 0..grid.rows() {
+                    for s in grid.row(r) {
+                        bits.extend([s.min.to_bits(), s.max.to_bits(), s.mean.to_bits(), s.count]);
+                    }
+                }
+            }
+        }
+        bits
+    }
+
+    #[test]
+    fn a_held_snapshot_stays_bit_identical_across_further_appends() {
+        let mut live = clean_after(1);
+        let held = live.snapshot();
+        let before = fingerprint(&held);
+        for commit in 1..51 {
+            live.append(&[band(0, commit), band(1, commit)]).unwrap();
+        }
+        assert_eq!(live.rows(), 4 + 51 * 2);
+        assert_eq!(held.epoch(), SnapshotEpoch { epoch: 1, rows: 6 });
+        assert_eq!(fingerprint(&held), before);
+        assert!(snapshots_eq(&held, &clean_after(1).snapshot()));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use mbir_archive::error::ArchiveError;
 use mbir_archive::extent::CellCoord;
-use mbir_archive::grid::Grid2;
+use mbir_archive::grid::{ChunkedGrid, Grid2};
+use std::ops::Range;
 
 /// Aggregates of the base-resolution values covered by one pyramid cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +56,10 @@ impl CellStats {
 ///
 /// Level 0 is base resolution (stats of single cells); each higher level
 /// aggregates 2x2 children (ragged edges aggregate what exists). The
-/// top level is always a single cell.
+/// top level is always a single cell. Levels are stored as
+/// [`ChunkedGrid`]s, so a clone shares every level's chunks and
+/// [`extend_rows`](Self::extend_rows) rebuilds only the chunks a band
+/// dirties.
 ///
 /// # Examples
 ///
@@ -71,33 +75,67 @@ impl CellStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AggregatePyramid {
-    levels: Vec<Grid2<CellStats>>,
+    levels: Vec<ChunkedGrid<CellStats>>,
+}
+
+/// Single-cell stats of row-major base values.
+fn base_cells(values: &[f64]) -> impl Iterator<Item = CellStats> + '_ {
+    values.iter().map(|&v| CellStats::of_value(v))
+}
+
+/// The cells of parent rows `rows` over `child`, row-major. Each parent
+/// merges its 2x2 child block (clamped at ragged edges) in the fixed
+/// order top-left, top-right, bottom-left, bottom-right, which makes
+/// every build of a parent bit-identical.
+fn parent_cells(
+    child: &ChunkedGrid<CellStats>,
+    rows: Range<usize>,
+) -> impl Iterator<Item = CellStats> + '_ {
+    let cols = child.cols().div_ceil(2);
+    let (mut r, mut c) = (rows.start, 0);
+    let (mut top, mut bottom): (&[CellStats], &[CellStats]) = (&[], &[]);
+    // A map over a range has an exact length, so the chunk is written in
+    // place; the closure walks (r, c) itself.
+    (0..rows.len() * cols).map(move |_| {
+        if c == 0 {
+            top = child.row(2 * r);
+            bottom = if 2 * r + 1 < child.rows() {
+                child.row(2 * r + 1)
+            } else {
+                &[]
+            };
+        }
+        let block = 2 * c..(2 * c + 2).min(top.len());
+        let mut cells = top[block.clone()]
+            .iter()
+            .chain(bottom.get(block).unwrap_or(&[]));
+        let first = *cells
+            .next()
+            .expect("every parent covers at least one child");
+        let merged = cells.fold(first, |acc, s| acc.merge(s));
+        c += 1;
+        if c == cols {
+            (r, c) = (r + 1, 0);
+        }
+        merged
+    })
 }
 
 impl AggregatePyramid {
     /// Builds the full pyramid (down to 1x1) over `base`.
     pub fn build(base: &Grid2<f64>) -> Self {
-        let mut levels = vec![base.map(|&v| CellStats::of_value(v))];
+        let mut levels = vec![ChunkedGrid::from_rows(base.rows(), base.cols(), |rows| {
+            base_cells(base.row_range(rows))
+        })];
         loop {
             let prev = levels.last().expect("non-empty by construction");
             if prev.rows() == 1 && prev.cols() == 1 {
                 break;
             }
-            let rows = prev.rows().div_ceil(2);
-            let cols = prev.cols().div_ceil(2);
-            let next = Grid2::from_fn(rows, cols, |r, c| {
-                let mut acc: Option<CellStats> = None;
-                for rr in r * 2..(r * 2 + 2).min(prev.rows()) {
-                    for cc in c * 2..(c * 2 + 2).min(prev.cols()) {
-                        let s = prev.at(rr, cc);
-                        acc = Some(match acc {
-                            Some(a) => a.merge(s),
-                            None => *s,
-                        });
-                    }
-                }
-                acc.expect("every parent covers at least one child")
-            });
+            let next =
+                ChunkedGrid::from_rows(prev.rows().div_ceil(2), prev.cols().div_ceil(2), |rows| {
+                    parent_cells(prev, rows)
+                });
             levels.push(next);
         }
         AggregatePyramid { levels }
@@ -111,12 +149,18 @@ impl AggregatePyramid {
     /// recurrence `dirty_l = dirty_{l-1} / 2` (a parent is dirty exactly
     /// when its child block `2r..2r+2` reaches a dirty row, including the
     /// previously clamped last parent that now covers a second child).
-    /// Rows before the dirty frontier are **copied** from the old level —
-    /// their covered children are unchanged and the merge is
-    /// deterministic — and rows at or past it are recomputed with
-    /// [`build`](Self::build)'s exact fixed `(rr, cc)` merge order, so the
-    /// result is bit-identical to a full rebuild over the extended grid
-    /// (property-tested). New levels appear as the pyramid grows taller.
+    /// Each level is [`ChunkedGrid::extended`] from the old one: chunks
+    /// ending before the dirty frontier are **shared** with the old
+    /// pyramid (and every clone of it), the frontier chunk copies its clean
+    /// rows, and only dirty rows are computed, with [`build`](Self::build)'s
+    /// fixed merge order, so the result is bit-identical to a full rebuild
+    /// over the extended grid (property-tested). New levels appear as the
+    /// pyramid grows taller.
+    ///
+    /// The cost is O(band·cols + levels·chunk) cells however large the
+    /// pyramid is: level `l` computes about `band.rows() / 2^l + 1` rows
+    /// and copies fewer than [`CHUNK_ROWS`](mbir_archive::grid::CHUNK_ROWS)
+    /// clean ones.
     ///
     /// # Errors
     ///
@@ -135,51 +179,37 @@ impl AggregatePyramid {
             return Err(ArchiveError::EmptyDimension);
         }
         let mut dirty = base_rows;
-        let old0 = &self.levels[0];
-        let mut new_levels = vec![Grid2::from_fn(
-            base_rows + band.rows(),
-            base_cols,
-            |r, c| {
-                if r < dirty {
-                    *old0.at(r, c)
-                } else {
-                    CellStats::of_value(*band.at(r - dirty, c))
-                }
-            },
-        )];
-        let mut level = 1usize;
+        let mut levels = vec![
+            self.levels[0].extended(dirty, base_rows + band.rows(), |rows| {
+                base_cells(band.row_range(rows.start - base_rows..rows.end - base_rows))
+            }),
+        ];
         loop {
-            let prev = new_levels.last().expect("non-empty by construction");
+            let prev = levels.last().expect("non-empty by construction");
             if prev.rows() == 1 && prev.cols() == 1 {
                 break;
             }
             dirty /= 2;
-            let rows = prev.rows().div_ceil(2);
-            let cols = prev.cols().div_ceil(2);
-            let old = self.levels.get(level);
-            let next = Grid2::from_fn(rows, cols, |r, c| {
-                if r < dirty {
-                    if let Some(old) = old {
-                        return *old.at(r, c);
-                    }
-                }
-                let mut acc: Option<CellStats> = None;
-                for rr in r * 2..(r * 2 + 2).min(prev.rows()) {
-                    for cc in c * 2..(c * 2 + 2).min(prev.cols()) {
-                        let s = prev.at(rr, cc);
-                        acc = Some(match acc {
-                            Some(a) => a.merge(s),
-                            None => *s,
-                        });
-                    }
-                }
-                acc.expect("every parent covers at least one child")
-            });
-            new_levels.push(next);
-            level += 1;
+            let (rows, cols) = (prev.rows().div_ceil(2), prev.cols().div_ceil(2));
+            let fill = |rows| parent_cells(prev, rows);
+            let next = match self.levels.get(levels.len()) {
+                Some(old) => old.extended(dirty, rows, fill),
+                None => ChunkedGrid::from_rows(rows, cols, fill),
+            };
+            levels.push(next);
         }
-        self.levels = new_levels;
+        self.levels = levels;
         Ok(())
+    }
+
+    /// The storage of one level, for inspecting which chunks two pyramids
+    /// share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= levels()`.
+    pub fn level(&self, level: usize) -> &ChunkedGrid<CellStats> {
+        &self.levels[level]
     }
 
     /// Number of levels; level 0 is base resolution.
@@ -220,7 +250,7 @@ impl AggregatePyramid {
 
     /// Stats of the single top cell.
     pub fn root(&self) -> CellStats {
-        *self.levels[self.levels.len() - 1].at(0, 0)
+        self.levels[self.levels.len() - 1].row(0)[0]
     }
 
     /// The children coordinates of `(level, row, col)` at `level - 1`.
@@ -275,7 +305,9 @@ impl AggregatePyramid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbir_archive::grid::CHUNK_ROWS;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn root_covers_everything() {
@@ -441,6 +473,65 @@ mod tests {
             let mut incr = AggregatePyramid::build(&base);
             incr.extend_rows(&band).unwrap();
             prop_assert!(stats_eq(&incr, &full));
+        }
+    }
+
+    #[test]
+    fn extend_rows_shares_every_chunk_before_the_dirty_row() {
+        let cell = |r: usize, c: usize| ((r * 31 + c * 7) % 53) as f64;
+        let base_rows = 4 * CHUNK_ROWS + 3;
+        let parent = AggregatePyramid::build(&Grid2::from_fn(base_rows, 40, cell));
+        let mut child = parent.clone();
+        child
+            .extend_rows(&Grid2::from_fn(CHUNK_ROWS, 40, |r, c| {
+                cell(base_rows + r, c)
+            }))
+            .unwrap();
+        let mut dirty = base_rows;
+        for level in 0..parent.levels() {
+            let (old, new) = (parent.level(level).chunks(), child.level(level).chunks());
+            for (i, chunk) in new.iter().enumerate() {
+                let shared = old.get(i).is_some_and(|o| Arc::ptr_eq(o, chunk));
+                assert_eq!(shared, i < dirty / CHUNK_ROWS, "level {level} chunk {i}");
+            }
+            dirty /= 2;
+        }
+    }
+
+    /// Rows `from..to` of the grid `cell` defines.
+    fn band_of(
+        cell: impl Fn(usize, usize) -> f64,
+        from: usize,
+        to: usize,
+        cols: usize,
+    ) -> Grid2<f64> {
+        Grid2::from_fn(to - from, cols, |r, c| cell(from + r, c))
+    }
+
+    proptest! {
+        #[test]
+        fn prop_chained_extends_are_rebuild(
+            base_rows in 1usize..3 * CHUNK_ROWS + 1,
+            heights in proptest::collection::vec(1usize..2 * CHUNK_ROWS + 8, 1..6),
+            cols in proptest::sample::select(vec![1usize, 3, 5, 9, 13, 21]),
+            seed in 0u64..500,
+        ) {
+            let cell = |r: usize, c: usize| {
+                let h = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add((r * 53 + c) as u64);
+                (h % 1000) as f64 * 0.125 - 60.0
+            };
+            let mut rows = base_rows;
+            let mut incr = AggregatePyramid::build(&band_of(cell, 0, rows, cols));
+            for height in heights {
+                let before = incr.clone();
+                incr.extend_rows(&band_of(cell, rows, rows + height, cols)).unwrap();
+                // The parent is untouched by its child's extension.
+                prop_assert!(stats_eq(&before, &AggregatePyramid::build(&band_of(cell, 0, rows, cols))));
+                rows += height;
+                prop_assert!(stats_eq(&incr, &AggregatePyramid::build(&band_of(cell, 0, rows, cols))));
+            }
         }
     }
 
