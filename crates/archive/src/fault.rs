@@ -34,7 +34,7 @@
 //! | combination | behavior |
 //! |---|---|
 //! | Quarantine × anything | quarantine wins: the access fails fast with no attempt, **no latency ticks**, and no fault-state movement — even on a `Corruption` page. |
-//! | Corruption × Latency | the access "succeeds" slow: [`AttemptOutcome::Corrupted`] carries the page's latency ticks, charged on **every** (re-)read since nothing heals. |
+//! | Corruption × Latency | the access "succeeds" slow: `AttemptOutcome::Corrupted` carries the page's latency ticks, charged on **every** (re-)read since nothing heals. |
 //! | Corruption × breaker | silent at the attempt level — the breaker only advances when a verifying reader feeds detections back through `note_checksum_failure`, which shares the same consecutive-failure run as I/O failures. |
 //! | Transient × Latency | failing *and* healed accesses both pay the latency; healing is counted in accesses, not ticks. |
 //! | Transient × breaker | heal progress (`failed_accesses`) survives both quarantine and [`clear_quarantine`](crate::tile::TileStore::clear_quarantine); a healed page stays healed after the breaker reopens. |

@@ -3,7 +3,7 @@
 //!
 //! [`batched_top_k`] accepts a batch of linear models over one pyramid
 //! index and runs a *single* best-first traversal: one solo-sized frontier
-//! per query, with a [`Selector`] advancing whichever query holds the
+//! per query, with a `Selector` advancing whichever query holds the
 //! globally best upper bound (a keyed branchless argmax up to 64 queries,
 //! a heap above). While the governed memo tables are live this global
 //! order is also the cache-friendly order — queries interested in the

@@ -110,9 +110,10 @@ impl fmt::Display for EffortReport {
 /// One scratch belongs to one engine call at a time — sequential callers
 /// keep a single instance, parallel engines keep one per worker. A fresh
 /// scratch warms up over the first query (buffers grow to the query's
-/// working-set size) and then stops allocating; [`regrowths`]
-/// (`QueryScratch::regrowths`) counts how many buffer growth events have
-/// happened, so tests can assert a warmed scratch stays allocation-free.
+/// working-set size) and then stops allocating;
+/// [`regrowths`](Self::regrowths) counts how many buffer growth events
+/// have happened, so tests can assert a warmed scratch stays
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     pub(crate) children: Vec<CellCoord>,

@@ -41,14 +41,17 @@
 //!   and quorum completion policies behind a typed
 //!   [`InsufficientShards`] error. Healthy runs are bit-identical to the
 //!   unsharded resilient engine; degraded shards widen bounds instead of
-//!   silently flipping the fused top-K.
+//!   silently flipping the fused top-K. One driver runs every scatter
+//!   entry point (solo, dual-read, batched); they differ only in the
+//!   batch of models, the per-shard descent kernel, and whether a
+//!   dual-read destination wave runs.
 //! * [`batched`] — batched multi-query execution: one shared pyramid
 //!   descent serves Q queries, fetching each base cell and range box at
 //!   most once per batch behind governed memo tables, scheduling by
 //!   global upper bound while cross-query reuse lasts and degrading to
 //!   solo-shaped query-major drains when a governor proves it doesn't.
 //!   Every per-query answer is bit-identical to its solo
-//!   [`resilient`](crate::resilient) run; threaded through the parallel
+//!   [`resilient`] run; threaded through the parallel
 //!   workers and the sharded scatter-gather.
 //! * [`snapshot`] — crash-consistent live appends: a [`LiveArchive`]
 //!   grows by journaled, tile-row-aligned appends (one checksummed frame
@@ -145,11 +148,10 @@ pub use resilient::{
     ScoreBounds, WallDeadline,
 };
 pub use shard::{
-    batched_scatter_gather_top_k, batched_scatter_gather_top_k_cancellable, scatter_gather_top_k,
-    scatter_gather_top_k_cancellable, scatter_gather_top_k_dual,
-    scatter_gather_top_k_dual_cancellable, ArchiveShard, BatchedShardedTopK, CompletionPolicy,
-    DualReadGroup, EpochMismatch, InsufficientShards, ScatterPolicy, ShardError, ShardOutcome,
-    ShardReport, ShardTable, ShardedArchive, ShardedTopK,
+    batched_scatter_gather_top_k, scatter_gather_top_k, scatter_gather_top_k_cancellable,
+    scatter_gather_top_k_dual, ArchiveShard, BatchedShardedTopK, CompletionPolicy, DualReadGroup,
+    EpochMismatch, InsufficientShards, ScatterPolicy, ShardError, ShardOutcome, ShardReport,
+    ShardTable, ShardedArchive, ShardedTopK,
 };
 pub use snapshot::{EpochSnapshot, LiveArchive, LiveRecoveryReport, SnapshotEpoch, SnapshotHandle};
 pub use source::{CachedTileSource, CellSource, PyramidSource, QuarantineScrub, TileSource};

@@ -682,7 +682,7 @@ pub fn par_resilient_top_k_coarse<S: CellSource + Sync>(
 }
 
 /// [`par_resilient_top_k`] polling a
-/// [`CancelToken`](crate::lifecycle::CancelToken) at every worker
+/// [`CancelToken`] at every worker
 /// checkpoint. Cancellation latches
 /// [`BudgetStop::Cancelled`](crate::resilient::BudgetStop) through the
 /// shared stop flag, so every worker surrenders its frontier at its next

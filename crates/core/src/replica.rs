@@ -356,7 +356,7 @@ impl<'a> ReplicatedSource<'a> {
 
     /// Clears the per-page quarantine of every store of every replica,
     /// so future reads attempt the pages again. Invoked through
-    /// [`QuarantineScrub`] when a topology change retires this source's
+    /// [`QuarantineScrub`](crate::source::QuarantineScrub) when a topology change retires this source's
     /// band from its shard: quarantine page ids are only meaningful for
     /// the band layout they were recorded under, and a stale entry would
     /// otherwise suppress reads of healthy data when the stores are

@@ -37,10 +37,13 @@
 //! * **Dual-read soundness.** Between `enter_dual_read` and `cut_over`
 //!   the copies exist on both sides; [`dual_read_groups`] hands
 //!   [`scatter_gather_top_k_dual`](crate::shard::scatter_gather_top_k_dual)
-//!   the migration groups so a migrating shard killed mid-flight can be
-//!   served from its destination copy — with sound merged bounds, and
-//!   bit-identical results to the pre-migration plan whenever the source
-//!   side is healthy (see DESIGN.md §16 for the argument).
+//!   the migration groups. That entry point runs the same scatter driver
+//!   as every plain scatter — same source wave, hedging, quorum and
+//!   gather — plus one destination wave over the copies, so a migrating
+//!   shard killed mid-flight can be served from its destination copy —
+//!   with sound merged bounds, and bit-identical results to the
+//!   pre-migration plan whenever the source side is healthy (see
+//!   DESIGN.md §16 for the argument).
 //! * **Quarantine hygiene.** [`retire`] scrubs the per-page quarantine
 //!   of the retired source owners through [`QuarantineScrub`]: the page
 //!   ids in those ledgers are only meaningful under the old band layout,

@@ -24,7 +24,7 @@
 //!   remaining frontier — the deepest fully-bounded pyramid frontier — is
 //!   converted to degraded candidates instead of being discarded.
 //! * **Cancellation is cooperative too.** [`resilient_top_k_cancellable`]
-//!   polls a [`CancelToken`](crate::lifecycle::CancelToken) at the same
+//!   polls a [`CancelToken`] at the same
 //!   page-granular checkpoint and stops with [`BudgetStop::Cancelled`]
 //!   under the same degradation contract. When several stop reasons trip
 //!   in the same step, precedence is fixed: Cancelled > WallClock >
@@ -150,7 +150,7 @@ pub enum BudgetStop {
     /// The wall-clock deadline passed.
     WallClock,
     /// The caller cancelled the query via its
-    /// [`CancelToken`](crate::lifecycle::CancelToken).
+    /// [`CancelToken`].
     Cancelled,
 }
 
@@ -864,7 +864,7 @@ mod tests {
         assert!(r.results.iter().all(|h| !h.exact));
         // No work beyond the root bound and its candidate estimate.
         assert!(r.effort.multiply_adds <= 3 * model.arity() as u64);
-        assert_eq!(r.effort.speedup_checked().is_some(), true);
+        assert!(r.effort.speedup_checked().is_some());
     }
 
     #[test]

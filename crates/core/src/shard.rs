@@ -43,6 +43,12 @@
 //!   bounds, and its unaccounted cells lower the merged
 //!   [`completeness`](ShardedTopK::completeness) — a degraded shard can
 //!   never silently flip the fused top-K.
+//!
+//! Every public scatter entry point — [`scatter_gather_top_k`] and its
+//! cancellable form, [`scatter_gather_top_k_dual`] and
+//! [`batched_scatter_gather_top_k`] — runs one private driver. They
+//! differ only in the batch of models, the per-shard descent kernel and
+//! whether a dual-read destination wave runs (DESIGN.md §13).
 
 use crate::batched::CELL_MEMO_WINDOW;
 use crate::batched::{cell_key, BoundMemo, CellSlot, MemoGovernor, MemoMap, Selector};
@@ -608,8 +614,46 @@ impl ShardedTopK {
     }
 }
 
-/// Output of one shard descent attempt.
-struct ShardOut {
+/// Result of one batched scatter-gather run: per-query sharded answers
+/// plus the batch-wide physical-work accounting that shows what the
+/// shared per-shard descents amortized.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchedShardedTopK {
+    /// Per-query merged answers, in batch order — on a healthy archive
+    /// each is result-identical to that query's solo
+    /// [`scatter_gather_top_k`] run under the same policy.
+    pub queries: Vec<ShardedTopK>,
+    /// Physical pages read by the winning attempts across all shards.
+    pub pages_read: u64,
+    /// Distinct level-0 cells materialized through the shard sources
+    /// (winning attempts).
+    pub cells_fetched: u64,
+    /// Logical per-query cell reads served (≥ `cells_fetched`; the ratio
+    /// is the batch's read amortization factor).
+    pub cell_requests: u64,
+    /// Distinct region bound-vector computations across winning attempts
+    /// (one pyramid range fetch each).
+    pub bound_evals: u64,
+    /// Logical per-query bound requests served (≥ `bound_evals`).
+    pub bound_requests: u64,
+}
+
+/// One migration group of a dual-read: the source shards whose rows are
+/// migrating, and the destination shards (band copies) covering exactly
+/// the same contiguous row range. Produced by
+/// [`ReshardCoordinator::dual_read_groups`](crate::reshard::ReshardCoordinator::dual_read_groups);
+/// the row-coverage invariant is validated again by the dual-read
+/// scatter before any shard runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DualReadGroup {
+    /// Indices into the source archive's shards, in band order.
+    pub source_shards: Vec<usize>,
+    /// Indices into the dual-read destination slice, in band order.
+    pub dest_shards: Vec<usize>,
+}
+
+/// One query's share of a shard descent attempt.
+struct QueryOut {
     /// Exact items with *global* cell indices (`row * cols + col`).
     items: Vec<ScoredItem>,
     /// Shard-local level-0 regions whose page read failed, with the page.
@@ -617,9 +661,25 @@ struct ShardOut {
     /// Shard-local regions an early stop left unrefined.
     leftover: Vec<Region>,
     effort: EffortReport,
-    budget_stop: Option<BudgetStop>,
-    /// Successful base reads — zero with losses means a dead shard.
+    /// The query's early-stop reason. A batch-wide stop lands on every
+    /// query still open in the shard; queries already closed keep `None`.
+    stop: Option<BudgetStop>,
+}
+
+/// Output of one shard descent attempt: one part per query, in batch
+/// order, plus the shard's physical counters.
+#[derive(Default)]
+struct ShardOut {
+    queries: Vec<QueryOut>,
+    /// Distinct successful base reads — zero with losses means a dead
+    /// shard (for the whole batch: reads are physical).
     resolved_reads: u64,
+    /// The sharing counters of [`BatchedShardedTopK`]; only the batched
+    /// kernel keeps them (the solo kernel leaves them zero).
+    cells_fetched: u64,
+    cell_requests: u64,
+    bound_evals: u64,
+    bound_requests: u64,
 }
 
 /// One attempt (primary or hedge) at a shard, with its I/O window.
@@ -629,28 +689,55 @@ struct ShardAttempt {
     ticks: u64,
 }
 
+impl ShardAttempt {
+    /// Errored, or every attempted page read failed: the shard evaluated
+    /// no data for anyone.
+    fn failed(&self) -> bool {
+        match &self.out {
+            Err(_) => true,
+            Ok(o) => o.resolved_reads == 0 && o.queries.iter().any(|q| !q.lost.is_empty()),
+        }
+    }
+}
+
+/// The descent kernel every shard attempt of a scatter runs, chosen by
+/// the public entry point.
+#[derive(Clone, Copy)]
+enum Kernel {
+    /// [`shard_descent`]: exactly one model.
+    Solo,
+    /// [`batched_shard_descent`]: the whole batch over shared reads.
+    Batched,
+}
+
 /// Read-only context shared by every shard attempt of one wave.
 struct ScatterCtx<'a> {
-    model: &'a LinearModel,
+    kernel: Kernel,
+    /// The batch, in order (one model for the solo kernel).
+    models: &'a [LinearModel],
     k: usize,
     /// Global column count (bands all share it).
     cols: usize,
     /// Effective budget for this wave (soft deadline merged in for the
-    /// primary wave, the caller's own budget for the hedge wave).
+    /// primary wave, the caller's own budget for the hedge and
+    /// destination waves).
     budget: ExecutionBudget,
     deadline: &'a WallDeadline,
     cancel: Option<&'a CancelToken>,
-    bound: &'a SharedBound,
+    /// One cross-shard bound per query, in batch order.
+    bounds: &'a [SharedBound],
 }
 
-/// One shard's best-first descent: the resilient engine's loop over the
-/// shard's own band pyramids and source, pruning against
-/// `max(local floor, shared bound)` and publishing floors back.
+/// One shard's best-first descent for the context's single model: the
+/// resilient engine's loop over the shard's own band pyramids and
+/// source, pruning against `max(local floor, shared bound)` and
+/// publishing floors back.
 fn shard_descent<S: CellSource>(
     ctx: &ScatterCtx<'_>,
     shard: &ArchiveShard<'_, S>,
 ) -> Result<ShardOut, CoreError> {
-    let model = ctx.model;
+    let model = &ctx.models[0];
+    let bound = &ctx.bounds[0];
     let n = model.arity() as u64;
     let levels = shard.pyramids[0].levels();
     let mut effort = EffortReport {
@@ -690,7 +777,7 @@ fn shard_descent<S: CellSource>(
     let mut resolved_reads = 0u64;
 
     while let Some(region) = frontier.pop() {
-        let mut floor = ctx.bound.get();
+        let mut floor = bound.get();
         if let Some(f) = heap.floor() {
             floor = floor.max(f);
         }
@@ -721,7 +808,7 @@ fn shard_descent<S: CellSource>(
                         score: model.evaluate(x),
                     });
                     if let Some(f) = heap.floor() {
-                        ctx.bound.offer(f);
+                        bound.offer(f);
                     }
                 }
                 Err(CoreError::Archive(
@@ -771,1113 +858,16 @@ fn shard_descent<S: CellSource>(
     }
 
     Ok(ShardOut {
-        items: heap.into_sorted(),
-        lost,
-        leftover,
-        effort,
-        budget_stop,
+        queries: vec![QueryOut {
+            items: heap.into_sorted(),
+            lost,
+            leftover,
+            effort,
+            stop: budget_stop,
+        }],
         resolved_reads,
+        ..ShardOut::default()
     })
-}
-
-/// Runs one attempt at a shard and measures its I/O window on the
-/// shard's own clock.
-fn run_attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> ShardAttempt {
-    let pages_at_entry = shard.source.pages_read();
-    let ticks_at_entry = shard.source.ticks_elapsed();
-    let out = shard_descent(ctx, shard);
-    ShardAttempt {
-        out,
-        pages: shard.source.pages_read().saturating_sub(pages_at_entry),
-        ticks: shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
-    }
-}
-
-/// Fans `which` shard indices out over the pool (round-robin, at most one
-/// worker per shard) and returns `(shard index, attempt)` pairs.
-fn scatter_wave<S: CellSource + Sync>(
-    ctx: &ScatterCtx<'_>,
-    shards: &[ArchiveShard<'_, S>],
-    which: &[usize],
-    pool: &WorkerPool,
-) -> Vec<(usize, ShardAttempt)> {
-    let workers = pool.threads().min(which.len()).max(1);
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for (slot, &shard_index) in which.iter().enumerate() {
-        assignments[slot % workers].push(shard_index);
-    }
-    pool.run(
-        assignments
-            .into_iter()
-            .map(|own| {
-                move |_w: usize| {
-                    own.into_iter()
-                        .map(|i| (i, run_attempt(ctx, &shards[i])))
-                        .collect::<Vec<_>>()
-                }
-            })
-            .collect(),
-    )
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Rejects a query whose pinned epoch differs from the one the archive
-/// serves — checked before any shard attempt runs.
-fn check_epoch_fence<S>(
-    policy: &ScatterPolicy,
-    archive: &ShardedArchive<'_, S>,
-) -> Result<(), ShardError> {
-    if let Some(requested) = policy.epoch_fence {
-        if requested != archive.epoch {
-            return Err(EpochMismatch {
-                requested,
-                serving: archive.epoch,
-            }
-            .into());
-        }
-    }
-    Ok(())
-}
-
-/// Severity order used to merge per-shard stop reasons into one:
-/// Cancelled > WallClock > Deadline > PageReads > MultiplyAdds.
-fn stop_severity(stop: BudgetStop) -> u8 {
-    match stop {
-        BudgetStop::MultiplyAdds => 1,
-        BudgetStop::PageReads => 2,
-        BudgetStop::Deadline => 3,
-        BudgetStop::WallClock => 4,
-        BudgetStop::Cancelled => 5,
-    }
-}
-
-/// Scatter-gather top-K over a sharded archive. See the module docs for
-/// the soundness and quorum contract; on a healthy archive with an
-/// unlimited budget the merged results are bit-identical to
-/// [`resilient_top_k`](crate::resilient::resilient_top_k) over the
-/// unsharded grid, at every shard count and thread count.
-///
-/// The `budget` is enforced *per shard attempt*, each dimension measured
-/// against the attempt's own source clocks (wall-clock expiry is shared:
-/// one latch stops every shard at its next checkpoint).
-///
-/// # Errors
-///
-/// [`ShardError::Core`] for invalid inputs (any shard failing the same
-/// validation as the unsharded engines); [`ShardError::Insufficient`]
-/// when fewer shards respond than `policy.completion` requires.
-pub fn scatter_gather_top_k<S: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_inner(model, archive, k, budget, policy, None, pool)
-}
-
-/// [`scatter_gather_top_k`] polling a [`CancelToken`] at every shard's
-/// page-granular checkpoints. Cancellation stops every shard at its next
-/// checkpoint and the merged answer degrades with sound bounds, exactly
-/// like the unsharded cancellable engines. A token that is never
-/// cancelled changes nothing.
-///
-/// # Errors
-///
-/// Same as [`scatter_gather_top_k`].
-pub fn scatter_gather_top_k_cancellable<S: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_inner(model, archive, k, budget, policy, Some(cancel), pool)
-}
-
-fn scatter_gather_inner<S: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: Option<&CancelToken>,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    check_epoch_fence(policy, archive)?;
-    let shards = archive.shards();
-    for shard in shards {
-        validate_grid_inputs(model, shard.pyramids, k).map_err(ShardError::Core)?;
-    }
-    let n = model.arity() as u64;
-    let total_cells = archive.total_cells();
-    let cols = archive.shape().1;
-    let deadline = WallDeadline::starting_now(budget);
-    let bound = SharedBound::new();
-
-    // The soft deadline only engages when it is tighter than the caller's
-    // own tick deadline — otherwise a Deadline stop is the caller's
-    // ceiling, not a straggler signal.
-    let soft_engaged = policy
-        .shard_soft_deadline_ticks
-        .is_some_and(|soft| budget.deadline_ticks.is_none_or(|d| soft < d));
-    let primary_budget = if soft_engaged {
-        ExecutionBudget {
-            deadline_ticks: policy.shard_soft_deadline_ticks,
-            ..*budget
-        }
-    } else {
-        *budget
-    };
-
-    let primary_ctx = ScatterCtx {
-        model,
-        k,
-        cols,
-        budget: primary_budget,
-        deadline: &deadline,
-        cancel,
-        bound: &bound,
-    };
-    let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts: Vec<Option<ShardAttempt>> = (0..shards.len()).map(|_| None).collect();
-    for (i, attempt) in scatter_wave(&primary_ctx, shards, &all, pool) {
-        attempts[i] = Some(attempt);
-    }
-
-    // Hedged re-dispatch of stragglers: one retry without the soft
-    // deadline. First clean finish wins; the losing attempt's output is
-    // discarded wholesale so it leaves no state in the merge.
-    let mut hedged = vec![false; shards.len()];
-    let mut hedge_won = vec![false; shards.len()];
-    if policy.hedge_stragglers && soft_engaged && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let stragglers: Vec<usize> = attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| {
-                a.as_ref().is_some_and(|a| match &a.out {
-                    Ok(o) => o.budget_stop == Some(BudgetStop::Deadline),
-                    Err(_) => false,
-                })
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !stragglers.is_empty() {
-            let hedge_ctx = ScatterCtx {
-                budget: *budget,
-                ..primary_ctx
-            };
-            for (i, hedge) in scatter_wave(&hedge_ctx, shards, &stragglers, pool) {
-                hedged[i] = true;
-                let primary = attempts[i].as_ref().expect("primary attempt present");
-                let wins = match (&primary.out, &hedge.out) {
-                    (_, Err(_)) => false,
-                    (Err(_), Ok(_)) => true,
-                    (Ok(p), Ok(h)) => {
-                        h.budget_stop.is_none()
-                            || h.lost.len() + h.leftover.len() < p.lost.len() + p.leftover.len()
-                    }
-                };
-                if wins {
-                    hedge_won[i] = true;
-                    attempts[i] = Some(hedge);
-                }
-            }
-        }
-    }
-
-    // Quorum check before any merging: a failed shard is one that errored
-    // or whose every attempted page read failed (no evaluated data).
-    let failed: Vec<usize> = attempts
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            let attempt = a.as_ref().expect("attempt present");
-            match &attempt.out {
-                Err(_) => true,
-                Ok(o) => o.resolved_reads == 0 && !o.lost.is_empty(),
-            }
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let responded = shards.len() - failed.len();
-    let required = policy.completion.required(shards.len());
-    if responded < required {
-        return Err(InsufficientShards {
-            responded,
-            required,
-            total: shards.len(),
-            failed,
-            epoch: archive.epoch,
-        }
-        .into());
-    }
-
-    // Degraded candidates cross pyramid boundaries: a band pyramid sums
-    // its aggregates in a different floating-point order than a global
-    // evaluation of the same cells, so a mathematically sound bound can
-    // round a few ulps inside the true supremum. The merge widens every
-    // inexact candidate by a relative guard so "the true score lies
-    // inside the reported bounds" holds in floating point too. Exact hits
-    // are never widened, and exclusion still uses the raw bounds.
-    let widen = |bounds: ScoreBounds| -> ScoreBounds {
-        let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
-        ScoreBounds {
-            lo: bounds.lo - pad,
-            hi: bounds.hi + pad,
-        }
-    };
-
-    // Gather: merge exact items with the shared rank order, derive the
-    // deterministic global K-th floor, then resolve every shard's lost
-    // and leftover regions against it.
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * total_cells,
-    };
-    let mut items: Vec<ScoredItem> = Vec::new();
-    for attempt in attempts.iter().flatten() {
-        if let Ok(o) = &attempt.out {
-            effort.multiply_adds += o.effort.multiply_adds;
-            items.extend(o.items.iter().copied());
-        }
-    }
-    sort_desc(&mut items);
-    items.truncate(k);
-    // Only a full merged heap yields a sound exclusion floor.
-    let floor = if items.len() == k {
-        items.last().map(|i| i.score)
-    } else {
-        None
-    };
-    let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-
-    let mut hits: Vec<ResilientHit> = items
-        .into_iter()
-        .map(|item| ResilientHit {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            level: 0,
-            score: item.score,
-            bounds: ScoreBounds::exact(item.score),
-            exact: true,
-        })
-        .collect();
-
-    let mut unresolved = 0u64;
-    let mut skipped: Vec<(usize, usize)> = Vec::new();
-    let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
-    let mut merged_stop: Option<BudgetStop> = None;
-
-    for (i, shard) in shards.iter().enumerate() {
-        let attempt = attempts[i].as_ref().expect("attempt present");
-        let shard_cells = shard.cells();
-        let mut shard_unresolved = 0u64;
-        let mut shard_skipped: BTreeSet<usize> = BTreeSet::new();
-        let mut exact_hits = 0usize;
-        let mut shard_stop = None;
-        match &attempt.out {
-            Ok(o) => {
-                exact_hits = o.items.len();
-                shard_stop = o.budget_stop;
-                for region in &o.leftover {
-                    let (mut candidate, count) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        region.level,
-                        region.row,
-                        region.col,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell =
-                        CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
-                    if excluded(candidate.bounds.hi) {
-                        continue; // Provably outside the top-K: resolved.
-                    }
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-                let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-                for (region, page) in &o.lost {
-                    if excluded(region.ub) {
-                        continue; // Resolved by the deterministic bound.
-                    }
-                    shard_skipped.insert(*page);
-                    let (mut candidate, _) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        parent_level,
-                        region.row >> parent_level,
-                        region.col >> parent_level,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                    candidate.level = 0;
-                    shard_unresolved += 1;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-            Err(_) => {
-                // The whole band degrades to its resident root aggregate:
-                // the deepest bound that depends on no page data. If even
-                // the root bound falls under the merged floor, the band
-                // is provably irrelevant and nothing was lost.
-                let top = shard.pyramids[0].levels() - 1;
-                let (mut candidate, count) =
-                    region_candidate(model, shard.pyramids, top, 0, 0, &mut effort)
-                        .map_err(ShardError::Core)?;
-                candidate.cell = CellCoord::new(shard.row_offset, 0);
-                if !excluded(candidate.bounds.hi) {
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-        }
-        if let Some(stop) = shard_stop {
-            if merged_stop.is_none_or(|m| stop_severity(stop) > stop_severity(m)) {
-                merged_stop = Some(stop);
-            }
-        }
-        let outcome = if failed.contains(&i) {
-            ShardOutcome::Failed
-        } else if soft_engaged && !hedge_won[i] && shard_stop == Some(BudgetStop::Deadline) {
-            ShardOutcome::TimedOut
-        } else if shard_unresolved > 0 || shard_stop.is_some() {
-            ShardOutcome::Degraded
-        } else {
-            ShardOutcome::Complete
-        };
-        unresolved += shard_unresolved;
-        skipped.extend(shard_skipped.iter().map(|&p| (i, p)));
-        reports.push(ShardReport {
-            shard: i,
-            outcome,
-            completeness: 1.0 - shard_unresolved as f64 / shard_cells as f64,
-            exact_hits,
-            skipped_pages: shard_skipped.into_iter().collect(),
-            budget_stop: shard_stop,
-            pages_read: attempt.pages,
-            ticks: attempt.ticks,
-            hedged: hedged[i],
-            hedge_won: hedge_won[i],
-            cells: shard_cells,
-        });
-    }
-
-    // Rank by upper bound first — the shared final comparator of the
-    // resilient engines: exact hits have hi == score, and truncation can
-    // never drop the only candidate that might still be the true winner.
-    hits.sort_by(|a, b| {
-        b.bounds
-            .hi
-            .total_cmp(&a.bounds.hi)
-            .then_with(|| b.score.total_cmp(&a.score))
-            .then_with(|| a.cell.cmp(&b.cell))
-    });
-    hits.truncate(k);
-
-    Ok(ShardedTopK {
-        results: hits,
-        effort,
-        completeness: 1.0 - unresolved as f64 / total_cells as f64,
-        skipped_pages: skipped,
-        budget_stop: merged_stop,
-        shards: reports,
-    })
-}
-
-/// One migration group of a dual-read: the source shards whose rows are
-/// migrating, and the destination shards (band copies) covering exactly
-/// the same contiguous row range. Produced by
-/// [`ReshardCoordinator::dual_read_groups`](crate::reshard::ReshardCoordinator::dual_read_groups);
-/// the row-coverage invariant is validated again by the dual-read
-/// scatter before any shard runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DualReadGroup {
-    /// Indices into the source archive's shards, in band order.
-    pub source_shards: Vec<usize>,
-    /// Indices into the dual-read destination slice, in band order.
-    pub dest_shards: Vec<usize>,
-}
-
-/// Validates the dual-read group structure: indices in range and used at
-/// most once, every destination shard claimed by exactly one group, and
-/// each group's source rows covering exactly its destination rows.
-fn validate_dual_groups<S: CellSource, D: CellSource>(
-    archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
-) -> Result<(), ShardError> {
-    let invalid = |msg: String| ShardError::Core(CoreError::Query(msg));
-    let shards = archive.shards();
-    let mut source_used = vec![false; shards.len()];
-    let mut dest_used = vec![false; dest.len()];
-    for (g, group) in groups.iter().enumerate() {
-        if group.source_shards.is_empty() || group.dest_shards.is_empty() {
-            return Err(invalid(format!("dual-read group {g} is one-sided")));
-        }
-        let range =
-            |offset: usize, rows: usize, lo: &mut usize, hi: &mut usize, sum: &mut usize| {
-                *lo = (*lo).min(offset);
-                *hi = (*hi).max(offset + rows);
-                *sum += rows;
-            };
-        let (mut s_lo, mut s_hi, mut s_sum) = (usize::MAX, 0usize, 0usize);
-        for &s in &group.source_shards {
-            let shard = shards
-                .get(s)
-                .ok_or_else(|| invalid(format!("group {g}: source shard {s} out of range")))?;
-            if std::mem::replace(&mut source_used[s], true) {
-                return Err(invalid(format!("source shard {s} appears in two groups")));
-            }
-            range(
-                shard.row_offset,
-                shard.rows(),
-                &mut s_lo,
-                &mut s_hi,
-                &mut s_sum,
-            );
-        }
-        let (mut d_lo, mut d_hi, mut d_sum) = (usize::MAX, 0usize, 0usize);
-        for &d in &group.dest_shards {
-            let shard = dest
-                .get(d)
-                .ok_or_else(|| invalid(format!("group {g}: dest shard {d} out of range")))?;
-            if std::mem::replace(&mut dest_used[d], true) {
-                return Err(invalid(format!("dest shard {d} appears in two groups")));
-            }
-            range(
-                shard.row_offset,
-                shard.rows(),
-                &mut d_lo,
-                &mut d_hi,
-                &mut d_sum,
-            );
-        }
-        if s_sum != s_hi - s_lo || d_sum != d_hi - d_lo {
-            return Err(invalid(format!("dual-read group {g} has a row gap")));
-        }
-        if (s_lo, s_hi) != (d_lo, d_hi) {
-            return Err(invalid(format!(
-                "dual-read group {g} covers source rows {s_lo}..{s_hi} but dest rows {d_lo}..{d_hi}"
-            )));
-        }
-    }
-    if let Some(d) = dest_used.iter().position(|used| !used) {
-        return Err(invalid(format!("dest shard {d} belongs to no group")));
-    }
-    Ok(())
-}
-
-/// Dual-read scatter-gather: [`scatter_gather_top_k`] over the *source*
-/// topology, additionally fanning out to the destination band copies of
-/// an in-flight migration (state `DualRead` of
-/// [`crate::reshard::ReshardCoordinator`]). Per migration group, the
-/// merge uses the source shards' contributions — so a healthy dual-read
-/// stays bit-identical to the plain pre-migration scatter — unless a
-/// migrating source shard fails *and* every destination copy of its
-/// group responded, in which case the whole group's rows are served from
-/// the destination side instead. Group substitution is wholesale (the
-/// suppressed source attempts leave no state in the merge, like a
-/// hedging loser), and a group's destination rows equal its source rows,
-/// so no cell is merged twice and every lost or unrefined destination
-/// region degrades through the same ulp-guarded candidate machinery as
-/// any other shard: bounds stay sound no matter which side served a row.
-///
-/// Quorum accounting is epoch-aware: a migrating source shard served by
-/// its destination cover counts as responded, and only uncovered
-/// failures appear in [`InsufficientShards::failed`], stamped with the
-/// source epoch.
-///
-/// # Errors
-///
-/// [`ShardError::Core`] for invalid inputs or malformed groups;
-/// [`ShardError::Epoch`] when `policy` pins an epoch the archive does
-/// not serve; [`ShardError::Insufficient`] on a quorum miss after
-/// destination covers are credited.
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_gather_top_k_dual<S: CellSource + Sync, D: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_dual_inner(model, archive, dest, groups, k, budget, policy, None, pool)
-}
-
-/// [`scatter_gather_top_k_dual`] polling a [`CancelToken`] at every
-/// attempt's page-granular checkpoints — source and destination alike —
-/// so a query cancelled mid-migration degrades with sound bounds on
-/// both sides.
-///
-/// # Errors
-///
-/// Same as [`scatter_gather_top_k_dual`].
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_gather_top_k_dual_cancellable<S: CellSource + Sync, D: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    scatter_gather_dual_inner(
-        model,
-        archive,
-        dest,
-        groups,
-        k,
-        budget,
-        policy,
-        Some(cancel),
-        pool,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scatter_gather_dual_inner<S: CellSource + Sync, D: CellSource + Sync>(
-    model: &LinearModel,
-    archive: &ShardedArchive<'_, S>,
-    dest: &[ArchiveShard<'_, D>],
-    groups: &[DualReadGroup],
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: Option<&CancelToken>,
-    pool: &WorkerPool,
-) -> Result<ShardedTopK, ShardError> {
-    check_epoch_fence(policy, archive)?;
-    let shards = archive.shards();
-    for shard in shards {
-        validate_grid_inputs(model, shard.pyramids, k).map_err(ShardError::Core)?;
-    }
-    for shard in dest {
-        validate_grid_inputs(model, shard.pyramids, k).map_err(ShardError::Core)?;
-        if shard.cols() != archive.shape().1 {
-            return Err(ShardError::Core(CoreError::Query(format!(
-                "dest shard has {} columns, the archive has {}",
-                shard.cols(),
-                archive.shape().1
-            ))));
-        }
-    }
-    validate_dual_groups(archive, dest, groups)?;
-
-    let n = model.arity() as u64;
-    let total_cells = archive.total_cells();
-    let cols = archive.shape().1;
-    let deadline = WallDeadline::starting_now(budget);
-    let bound = SharedBound::new();
-
-    let soft_engaged = policy
-        .shard_soft_deadline_ticks
-        .is_some_and(|soft| budget.deadline_ticks.is_none_or(|d| soft < d));
-    let primary_budget = if soft_engaged {
-        ExecutionBudget {
-            deadline_ticks: policy.shard_soft_deadline_ticks,
-            ..*budget
-        }
-    } else {
-        *budget
-    };
-
-    // Source wave + hedged straggler re-dispatch: exactly the plain
-    // scatter's discipline.
-    let primary_ctx = ScatterCtx {
-        model,
-        k,
-        cols,
-        budget: primary_budget,
-        deadline: &deadline,
-        cancel,
-        bound: &bound,
-    };
-    let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts: Vec<Option<ShardAttempt>> = (0..shards.len()).map(|_| None).collect();
-    for (i, attempt) in scatter_wave(&primary_ctx, shards, &all, pool) {
-        attempts[i] = Some(attempt);
-    }
-    let mut hedged = vec![false; shards.len()];
-    let mut hedge_won = vec![false; shards.len()];
-    if policy.hedge_stragglers && soft_engaged && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let stragglers: Vec<usize> = attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| {
-                a.as_ref().is_some_and(|a| match &a.out {
-                    Ok(o) => o.budget_stop == Some(BudgetStop::Deadline),
-                    Err(_) => false,
-                })
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !stragglers.is_empty() {
-            let hedge_ctx = ScatterCtx {
-                budget: *budget,
-                ..primary_ctx
-            };
-            for (i, hedge) in scatter_wave(&hedge_ctx, shards, &stragglers, pool) {
-                hedged[i] = true;
-                let primary = attempts[i].as_ref().expect("primary attempt present");
-                let wins = match (&primary.out, &hedge.out) {
-                    (_, Err(_)) => false,
-                    (Err(_), Ok(_)) => true,
-                    (Ok(p), Ok(h)) => {
-                        h.budget_stop.is_none()
-                            || h.lost.len() + h.leftover.len() < p.lost.len() + p.leftover.len()
-                    }
-                };
-                if wins {
-                    hedge_won[i] = true;
-                    attempts[i] = Some(hedge);
-                }
-            }
-        }
-    }
-
-    // Destination wave: after the source wave, against the caller's own
-    // budget (no soft deadline — the copies are fresh and local), with
-    // the same shared bound. The mature cross-shard floors make most
-    // healthy destination descents exclude their band near the root, so
-    // the dual fan-out costs little extra when nothing is failing.
-    let dest_ctx = ScatterCtx {
-        model,
-        k,
-        cols,
-        budget: *budget,
-        deadline: &deadline,
-        cancel,
-        bound: &bound,
-    };
-    let all_dest: Vec<usize> = (0..dest.len()).collect();
-    let mut dest_attempts: Vec<Option<ShardAttempt>> = (0..dest.len()).map(|_| None).collect();
-    for (i, attempt) in scatter_wave(&dest_ctx, dest, &all_dest, pool) {
-        dest_attempts[i] = Some(attempt);
-    }
-
-    // Per-group substitution verdicts.
-    let attempt_failed = |a: &ShardAttempt| match &a.out {
-        Err(_) => true,
-        Ok(o) => o.resolved_reads == 0 && !o.lost.is_empty(),
-    };
-    let source_failed: Vec<bool> = attempts
-        .iter()
-        .map(|a| attempt_failed(a.as_ref().expect("attempt present")))
-        .collect();
-    let dest_failed: Vec<bool> = dest_attempts
-        .iter()
-        .map(|a| attempt_failed(a.as_ref().expect("attempt present")))
-        .collect();
-    let mut covered_group = vec![false; groups.len()];
-    let mut suppressed = vec![false; shards.len()];
-    let mut group_of_source: Vec<Option<usize>> = vec![None; shards.len()];
-    for (g, group) in groups.iter().enumerate() {
-        for &s in &group.source_shards {
-            group_of_source[s] = Some(g);
-        }
-        let any_source_failed = group.source_shards.iter().any(|&s| source_failed[s]);
-        let all_dest_ok = group.dest_shards.iter().all(|&d| !dest_failed[d]);
-        if any_source_failed && all_dest_ok {
-            covered_group[g] = true;
-            for &s in &group.source_shards {
-                suppressed[s] = true;
-            }
-        }
-    }
-
-    // Epoch-aware quorum: a migrating shard whose rows the destination
-    // copies fully served counts as responded; only uncovered failures
-    // count against the policy.
-    let failed: Vec<usize> = (0..shards.len())
-        .filter(|&i| source_failed[i] && !suppressed[i])
-        .collect();
-    let responded = shards.len() - failed.len();
-    let required = policy.completion.required(shards.len());
-    if responded < required {
-        return Err(InsufficientShards {
-            responded,
-            required,
-            total: shards.len(),
-            failed,
-            epoch: archive.epoch,
-        }
-        .into());
-    }
-
-    let widen = |bounds: ScoreBounds| -> ScoreBounds {
-        let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
-        ScoreBounds {
-            lo: bounds.lo - pad,
-            hi: bounds.hi + pad,
-        }
-    };
-
-    // Merge pool: every non-suppressed source contribution plus the
-    // destination contributions of covered groups. A group's rows come
-    // from exactly one side, so no cell can be merged twice.
-    let mut effort = EffortReport {
-        multiply_adds: 0,
-        naive_multiply_adds: n * total_cells,
-    };
-    let mut items: Vec<ScoredItem> = Vec::new();
-    for (i, attempt) in attempts.iter().enumerate() {
-        if suppressed[i] {
-            continue;
-        }
-        if let Ok(o) = &attempt.as_ref().expect("attempt present").out {
-            effort.multiply_adds += o.effort.multiply_adds;
-            items.extend(o.items.iter().copied());
-        }
-    }
-    for (g, group) in groups.iter().enumerate() {
-        if !covered_group[g] {
-            continue;
-        }
-        for &d in &group.dest_shards {
-            if let Ok(o) = &dest_attempts[d].as_ref().expect("attempt present").out {
-                effort.multiply_adds += o.effort.multiply_adds;
-                items.extend(o.items.iter().copied());
-            }
-        }
-    }
-    sort_desc(&mut items);
-    items.truncate(k);
-    let floor = if items.len() == k {
-        items.last().map(|i| i.score)
-    } else {
-        None
-    };
-    let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-
-    let mut hits: Vec<ResilientHit> = items
-        .into_iter()
-        .map(|item| ResilientHit {
-            cell: CellCoord::new(item.index / cols, item.index % cols),
-            level: 0,
-            score: item.score,
-            bounds: ScoreBounds::exact(item.score),
-            exact: true,
-        })
-        .collect();
-
-    let mut unresolved = 0u64;
-    let mut skipped: Vec<(usize, usize)> = Vec::new();
-    let mut merged_stop: Option<BudgetStop> = None;
-    let bump_stop = |merged: &mut Option<BudgetStop>, stop: Option<BudgetStop>| {
-        if let Some(stop) = stop {
-            if merged.is_none_or(|m| stop_severity(stop) > stop_severity(m)) {
-                *merged = Some(stop);
-            }
-        }
-    };
-
-    // Destination-side accounting, one ledger per covered group; its
-    // losses and leftovers degrade through the same candidate machinery
-    // as any shard's. During cover, skipped page ids are
-    // destination-local (the source pages were never the ones read).
-    struct GroupLedger {
-        unresolved: u64,
-        skipped: BTreeSet<usize>,
-        exact_hits: usize,
-        pages: u64,
-        ticks: u64,
-        stop: Option<BudgetStop>,
-        cells: u64,
-    }
-    let mut ledgers: Vec<Option<GroupLedger>> = (0..groups.len()).map(|_| None).collect();
-    for (g, group) in groups.iter().enumerate() {
-        if !covered_group[g] {
-            continue;
-        }
-        let mut ledger = GroupLedger {
-            unresolved: 0,
-            skipped: BTreeSet::new(),
-            exact_hits: 0,
-            pages: 0,
-            ticks: 0,
-            stop: None,
-            cells: group.source_shards.iter().map(|&s| shards[s].cells()).sum(),
-        };
-        for &d in &group.dest_shards {
-            let attempt = dest_attempts[d].as_ref().expect("attempt present");
-            ledger.pages += attempt.pages;
-            ledger.ticks += attempt.ticks;
-            let shard = &dest[d];
-            let Ok(o) = &attempt.out else {
-                continue; // Covered groups have no errored dest attempts.
-            };
-            ledger.exact_hits += o.items.len();
-            bump_stop(&mut ledger.stop, o.budget_stop);
-            for region in &o.leftover {
-                let (mut candidate, count) = region_candidate(
-                    model,
-                    shard.pyramids,
-                    region.level,
-                    region.row,
-                    region.col,
-                    &mut effort,
-                )
-                .map_err(ShardError::Core)?;
-                candidate.cell =
-                    CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
-                if excluded(candidate.bounds.hi) {
-                    continue;
-                }
-                ledger.unresolved += count;
-                candidate.bounds = widen(candidate.bounds);
-                hits.push(candidate);
-            }
-            let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-            for (region, page) in &o.lost {
-                if excluded(region.ub) {
-                    continue;
-                }
-                ledger.skipped.insert(*page);
-                let (mut candidate, _) = region_candidate(
-                    model,
-                    shard.pyramids,
-                    parent_level,
-                    region.row >> parent_level,
-                    region.col >> parent_level,
-                    &mut effort,
-                )
-                .map_err(ShardError::Core)?;
-                candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                candidate.level = 0;
-                ledger.unresolved += 1;
-                candidate.bounds = widen(candidate.bounds);
-                hits.push(candidate);
-            }
-        }
-        unresolved += ledger.unresolved;
-        bump_stop(&mut merged_stop, ledger.stop);
-        ledgers[g] = Some(ledger);
-    }
-
-    let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
-    for (i, shard) in shards.iter().enumerate() {
-        let attempt = attempts[i].as_ref().expect("attempt present");
-        let shard_cells = shard.cells();
-        if suppressed[i] {
-            // The group ledger lands on the group's first band; every
-            // member shares the group's completeness (cell-weighted, the
-            // per-shard fractions sum back to the group's).
-            let g = group_of_source[i].expect("suppressed shard has a group");
-            let group = &groups[g];
-            let ledger = ledgers[g].as_ref().expect("covered group has a ledger");
-            let first = group.source_shards.iter().min() == Some(&i);
-            if first {
-                skipped.extend(ledger.skipped.iter().map(|&p| (i, p)));
-            }
-            reports.push(ShardReport {
-                shard: i,
-                outcome: ShardOutcome::Covered,
-                completeness: 1.0 - ledger.unresolved as f64 / ledger.cells as f64,
-                exact_hits: if first { ledger.exact_hits } else { 0 },
-                skipped_pages: if first {
-                    ledger.skipped.iter().copied().collect()
-                } else {
-                    Vec::new()
-                },
-                budget_stop: if first { ledger.stop } else { None },
-                pages_read: if first { ledger.pages } else { 0 },
-                ticks: if first { ledger.ticks } else { 0 },
-                hedged: hedged[i],
-                hedge_won: hedge_won[i],
-                cells: shard_cells,
-            });
-            continue;
-        }
-        let mut shard_unresolved = 0u64;
-        let mut shard_skipped: BTreeSet<usize> = BTreeSet::new();
-        let mut exact_hits = 0usize;
-        let mut shard_stop = None;
-        match &attempt.out {
-            Ok(o) => {
-                exact_hits = o.items.len();
-                shard_stop = o.budget_stop;
-                for region in &o.leftover {
-                    let (mut candidate, count) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        region.level,
-                        region.row,
-                        region.col,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell =
-                        CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
-                    if excluded(candidate.bounds.hi) {
-                        continue;
-                    }
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-                let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-                for (region, page) in &o.lost {
-                    if excluded(region.ub) {
-                        continue;
-                    }
-                    shard_skipped.insert(*page);
-                    let (mut candidate, _) = region_candidate(
-                        model,
-                        shard.pyramids,
-                        parent_level,
-                        region.row >> parent_level,
-                        region.col >> parent_level,
-                        &mut effort,
-                    )
-                    .map_err(ShardError::Core)?;
-                    candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                    candidate.level = 0;
-                    shard_unresolved += 1;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-            Err(_) => {
-                let top = shard.pyramids[0].levels() - 1;
-                let (mut candidate, count) =
-                    region_candidate(model, shard.pyramids, top, 0, 0, &mut effort)
-                        .map_err(ShardError::Core)?;
-                candidate.cell = CellCoord::new(shard.row_offset, 0);
-                if !excluded(candidate.bounds.hi) {
-                    shard_unresolved += count;
-                    candidate.bounds = widen(candidate.bounds);
-                    hits.push(candidate);
-                }
-            }
-        }
-        bump_stop(&mut merged_stop, shard_stop);
-        let outcome = if source_failed[i] {
-            ShardOutcome::Failed
-        } else if soft_engaged && !hedge_won[i] && shard_stop == Some(BudgetStop::Deadline) {
-            ShardOutcome::TimedOut
-        } else if shard_unresolved > 0 || shard_stop.is_some() {
-            ShardOutcome::Degraded
-        } else {
-            ShardOutcome::Complete
-        };
-        unresolved += shard_unresolved;
-        skipped.extend(shard_skipped.iter().map(|&p| (i, p)));
-        reports.push(ShardReport {
-            shard: i,
-            outcome,
-            completeness: 1.0 - shard_unresolved as f64 / shard_cells as f64,
-            exact_hits,
-            skipped_pages: shard_skipped.into_iter().collect(),
-            budget_stop: shard_stop,
-            pages_read: attempt.pages,
-            ticks: attempt.ticks,
-            hedged: hedged[i],
-            hedge_won: hedge_won[i],
-            cells: shard_cells,
-        });
-    }
-
-    hits.sort_by(|a, b| {
-        b.bounds
-            .hi
-            .total_cmp(&a.bounds.hi)
-            .then_with(|| b.score.total_cmp(&a.score))
-            .then_with(|| a.cell.cmp(&b.cell))
-    });
-    hits.truncate(k);
-
-    Ok(ShardedTopK {
-        results: hits,
-        effort,
-        completeness: 1.0 - unresolved as f64 / total_cells as f64,
-        skipped_pages: skipped,
-        budget_stop: merged_stop,
-        shards: reports,
-    })
-}
-
-/// Result of one batched scatter-gather run: per-query sharded answers
-/// plus the batch-wide physical-work accounting that shows what the
-/// shared per-shard descents amortized.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchedShardedTopK {
-    /// Per-query merged answers, in batch order — on a healthy archive
-    /// each is result-identical to that query's solo
-    /// [`scatter_gather_top_k`] run under the same policy.
-    pub queries: Vec<ShardedTopK>,
-    /// Physical pages read by the winning attempts across all shards.
-    pub pages_read: u64,
-    /// Distinct level-0 cells materialized through the shard sources
-    /// (winning attempts).
-    pub cells_fetched: u64,
-    /// Logical per-query cell reads served (≥ `cells_fetched`; the ratio
-    /// is the batch's read amortization factor).
-    pub cell_requests: u64,
-    /// Distinct region bound-vector computations across winning attempts
-    /// (one pyramid range fetch each).
-    pub bound_evals: u64,
-    /// Logical per-query bound requests served (≥ `bound_evals`).
-    pub bound_requests: u64,
-}
-
-/// Output of one *batched* shard descent attempt: the per-query fields of
-/// [`ShardOut`] plus the shard's physical sharing counters.
-struct BatchShardOut {
-    /// Per-query exact items with *global* cell indices.
-    items: Vec<Vec<ScoredItem>>,
-    /// Per-query shard-local lost regions, with the failed page.
-    lost: Vec<Vec<(Region, usize)>>,
-    /// Per-query shard-local regions an early stop left unrefined.
-    leftover: Vec<Vec<Region>>,
-    efforts: Vec<EffortReport>,
-    /// Per-query stop reasons: the batch-wide stop lands on every query
-    /// still open in this shard; queries already closed keep `None`.
-    stops: Vec<Option<BudgetStop>>,
-    /// Distinct successful base reads — zero with losses means a dead
-    /// shard (for the whole batch: reads are physical).
-    resolved_reads: u64,
-    cells_fetched: u64,
-    cell_requests: u64,
-    bound_evals: u64,
-    bound_requests: u64,
-}
-
-/// One attempt (primary or hedge) at a shard, with its I/O window.
-struct BatchShardAttempt {
-    out: Result<BatchShardOut, CoreError>,
-    pages: u64,
-    ticks: u64,
-}
-
-/// Read-only context shared by every batched shard attempt of one wave:
-/// [`ScatterCtx`] with the model and shared bound vectorized over the
-/// batch.
-struct BatchScatterCtx<'a> {
-    models: &'a [LinearModel],
-    k: usize,
-    cols: usize,
-    budget: ExecutionBudget,
-    deadline: &'a WallDeadline,
-    cancel: Option<&'a CancelToken>,
-    /// One cross-shard bound per query, in batch order.
-    bounds: &'a [SharedBound],
 }
 
 /// One shard's *batched* best-first descent: the shared-frontier loop of
@@ -1887,9 +877,9 @@ struct BatchScatterCtx<'a> {
 /// query this is exactly [`shard_descent`] for that query alone, while
 /// page reads and pyramid range fetches are memoized across the batch.
 fn batched_shard_descent<S: CellSource>(
-    ctx: &BatchScatterCtx<'_>,
+    ctx: &ScatterCtx<'_>,
     shard: &ArchiveShard<'_, S>,
-) -> Result<BatchShardOut, CoreError> {
+) -> Result<ShardOut, CoreError> {
     let models = ctx.models;
     let m = models.len();
     let arity = models[0].arity();
@@ -2123,12 +1113,21 @@ fn batched_shard_descent<S: CellSource>(
         selector.arm(q, &frontiers);
     }
 
-    Ok(BatchShardOut {
-        items: heaps.into_iter().map(TopKHeap::into_sorted).collect(),
-        lost,
-        leftover,
-        efforts,
-        stops,
+    let queries = heaps
+        .into_iter()
+        .zip(lost)
+        .zip(leftover)
+        .zip(efforts.into_iter().zip(stops))
+        .map(|(((heap, lost), leftover), (effort, stop))| QueryOut {
+            items: heap.into_sorted(),
+            lost,
+            leftover,
+            effort,
+            stop,
+        })
+        .collect();
+    Ok(ShardOut {
+        queries,
         resolved_reads,
         cells_fetched,
         cell_requests,
@@ -2137,30 +1136,30 @@ fn batched_shard_descent<S: CellSource>(
     })
 }
 
-/// Runs one batched attempt at a shard and measures its I/O window on
-/// the shard's own clock.
-fn run_batched_attempt<S: CellSource>(
-    ctx: &BatchScatterCtx<'_>,
-    shard: &ArchiveShard<'_, S>,
-) -> BatchShardAttempt {
+/// Runs one attempt at a shard with the context's kernel and measures
+/// its I/O window on the shard's own clock.
+fn run_attempt<S: CellSource>(ctx: &ScatterCtx<'_>, shard: &ArchiveShard<'_, S>) -> ShardAttempt {
     let pages_at_entry = shard.source.pages_read();
     let ticks_at_entry = shard.source.ticks_elapsed();
-    let out = batched_shard_descent(ctx, shard);
-    BatchShardAttempt {
+    let out = match ctx.kernel {
+        Kernel::Solo => shard_descent(ctx, shard),
+        Kernel::Batched => batched_shard_descent(ctx, shard),
+    };
+    ShardAttempt {
         out,
         pages: shard.source.pages_read().saturating_sub(pages_at_entry),
         ticks: shard.source.ticks_elapsed().saturating_sub(ticks_at_entry),
     }
 }
 
-/// Fans `which` shard indices out over the pool for one batched wave
-/// (round-robin, at most one worker per shard).
-fn batched_scatter_wave<S: CellSource + Sync>(
-    ctx: &BatchScatterCtx<'_>,
+/// Fans `which` shard indices out over the pool (round-robin, at most one
+/// worker per shard) and returns `(shard index, attempt)` pairs.
+fn scatter_wave<S: CellSource + Sync>(
+    ctx: &ScatterCtx<'_>,
     shards: &[ArchiveShard<'_, S>],
     which: &[usize],
     pool: &WorkerPool,
-) -> Vec<(usize, BatchShardAttempt)> {
+) -> Vec<(usize, ShardAttempt)> {
     let workers = pool.threads().min(which.len()).max(1);
     let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
     for (slot, &shard_index) in which.iter().enumerate() {
@@ -2172,7 +1171,7 @@ fn batched_scatter_wave<S: CellSource + Sync>(
             .map(|own| {
                 move |_w: usize| {
                     own.into_iter()
-                        .map(|i| (i, run_batched_attempt(ctx, &shards[i])))
+                        .map(|i| (i, run_attempt(ctx, &shards[i])))
                         .collect::<Vec<_>>()
                 }
             })
@@ -2181,6 +1180,232 @@ fn batched_scatter_wave<S: CellSource + Sync>(
     .into_iter()
     .flatten()
     .collect()
+}
+
+/// One wave over every shard of `shards`, its attempts in shard order.
+fn full_wave<S: CellSource + Sync>(
+    ctx: &ScatterCtx<'_>,
+    shards: &[ArchiveShard<'_, S>],
+    pool: &WorkerPool,
+) -> Vec<ShardAttempt> {
+    let all: Vec<usize> = (0..shards.len()).collect();
+    let mut wave = scatter_wave(ctx, shards, &all, pool);
+    wave.sort_unstable_by_key(|&(i, _)| i);
+    wave.into_iter().map(|(_, attempt)| attempt).collect()
+}
+
+/// Rejects a query whose pinned epoch differs from the one the archive
+/// serves — checked before any shard attempt runs.
+fn check_epoch_fence<S>(
+    policy: &ScatterPolicy,
+    archive: &ShardedArchive<'_, S>,
+) -> Result<(), ShardError> {
+    if let Some(requested) = policy.epoch_fence {
+        if requested != archive.epoch {
+            return Err(EpochMismatch {
+                requested,
+                serving: archive.epoch,
+            }
+            .into());
+        }
+    }
+    Ok(())
+}
+
+/// Severity order used to merge per-shard stop reasons into one:
+/// Cancelled > WallClock > Deadline > PageReads > MultiplyAdds.
+fn stop_severity(stop: BudgetStop) -> u8 {
+    match stop {
+        BudgetStop::MultiplyAdds => 1,
+        BudgetStop::PageReads => 2,
+        BudgetStop::Deadline => 3,
+        BudgetStop::WallClock => 4,
+        BudgetStop::Cancelled => 5,
+    }
+}
+
+/// Keeps the more severe of the merged stop reason and `stop`.
+fn merge_stop(merged: &mut Option<BudgetStop>, stop: Option<BudgetStop>) {
+    if let Some(stop) = stop {
+        if merged.is_none_or(|m| stop_severity(stop) > stop_severity(m)) {
+            *merged = Some(stop);
+        }
+    }
+}
+
+/// The merge's floating-point guard. Degraded candidates cross pyramid
+/// boundaries: a band pyramid sums its aggregates in a different
+/// floating-point order than a global evaluation of the same cells, so a
+/// mathematically sound bound can round a few ulps inside the true
+/// supremum. Every inexact candidate is widened by this relative pad so
+/// "the true score lies inside the reported bounds" holds in floating
+/// point too. Exact hits are never widened, and exclusion still uses the
+/// raw bounds.
+fn widen(bounds: ScoreBounds) -> ScoreBounds {
+    let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
+    ScoreBounds {
+        lo: bounds.lo - pad,
+        hi: bounds.hi + pad,
+    }
+}
+
+/// Validates the dual-read group structure: indices in range and used at
+/// most once, every destination shard claimed by exactly one group, and
+/// each group's source rows covering exactly its destination rows.
+fn validate_dual_groups<S: CellSource, D: CellSource>(
+    archive: &ShardedArchive<'_, S>,
+    dest: &[ArchiveShard<'_, D>],
+    groups: &[DualReadGroup],
+) -> Result<(), ShardError> {
+    let invalid = |msg: String| ShardError::Core(CoreError::Query(msg));
+    let shards = archive.shards();
+    let mut source_used = vec![false; shards.len()];
+    let mut dest_used = vec![false; dest.len()];
+    for (g, group) in groups.iter().enumerate() {
+        if group.source_shards.is_empty() || group.dest_shards.is_empty() {
+            return Err(invalid(format!("dual-read group {g} is one-sided")));
+        }
+        let range =
+            |offset: usize, rows: usize, lo: &mut usize, hi: &mut usize, sum: &mut usize| {
+                *lo = (*lo).min(offset);
+                *hi = (*hi).max(offset + rows);
+                *sum += rows;
+            };
+        let (mut s_lo, mut s_hi, mut s_sum) = (usize::MAX, 0usize, 0usize);
+        for &s in &group.source_shards {
+            let shard = shards
+                .get(s)
+                .ok_or_else(|| invalid(format!("group {g}: source shard {s} out of range")))?;
+            if std::mem::replace(&mut source_used[s], true) {
+                return Err(invalid(format!("source shard {s} appears in two groups")));
+            }
+            range(
+                shard.row_offset,
+                shard.rows(),
+                &mut s_lo,
+                &mut s_hi,
+                &mut s_sum,
+            );
+        }
+        let (mut d_lo, mut d_hi, mut d_sum) = (usize::MAX, 0usize, 0usize);
+        for &d in &group.dest_shards {
+            let shard = dest
+                .get(d)
+                .ok_or_else(|| invalid(format!("group {g}: dest shard {d} out of range")))?;
+            if std::mem::replace(&mut dest_used[d], true) {
+                return Err(invalid(format!("dest shard {d} appears in two groups")));
+            }
+            range(
+                shard.row_offset,
+                shard.rows(),
+                &mut d_lo,
+                &mut d_hi,
+                &mut d_sum,
+            );
+        }
+        if s_sum != s_hi - s_lo || d_sum != d_hi - d_lo {
+            return Err(invalid(format!("dual-read group {g} has a row gap")));
+        }
+        if (s_lo, s_hi) != (d_lo, d_hi) {
+            return Err(invalid(format!(
+                "dual-read group {g} covers source rows {s_lo}..{s_hi} but dest rows {d_lo}..{d_hi}"
+            )));
+        }
+    }
+    if let Some(d) = dest_used.iter().position(|used| !used) {
+        return Err(invalid(format!("dest shard {d} belongs to no group")));
+    }
+    Ok(())
+}
+
+/// Scatter-gather top-K over a sharded archive. See the module docs for
+/// the soundness and quorum contract; on a healthy archive with an
+/// unlimited budget the merged results are bit-identical to
+/// [`resilient_top_k`](crate::resilient::resilient_top_k) over the
+/// unsharded grid, at every shard count and thread count.
+///
+/// The `budget` is enforced *per shard attempt*, each dimension measured
+/// against the attempt's own source clocks (wall-clock expiry is shared:
+/// one latch stops every shard at its next checkpoint).
+///
+/// # Errors
+///
+/// [`ShardError::Core`] for invalid inputs (any shard failing the same
+/// validation as the unsharded engines); [`ShardError::Insufficient`]
+/// when fewer shards respond than `policy.completion` requires.
+pub fn scatter_gather_top_k<S: CellSource + Sync>(
+    model: &LinearModel,
+    archive: &ShardedArchive<'_, S>,
+    k: usize,
+    budget: &ExecutionBudget,
+    policy: &ScatterPolicy,
+    pool: &WorkerPool,
+) -> Result<ShardedTopK, ShardError> {
+    let query = ScatterQuery::solo(model, k, budget, policy, None);
+    scatter::<S, S>(&query, archive, &[], &[], pool).map(only_query)
+}
+
+/// [`scatter_gather_top_k`] polling a [`CancelToken`] at every shard's
+/// page-granular checkpoints. Cancellation stops every shard at its next
+/// checkpoint and the merged answer degrades with sound bounds, exactly
+/// like the unsharded cancellable engines. A token that is never
+/// cancelled changes nothing.
+///
+/// # Errors
+///
+/// Same as [`scatter_gather_top_k`].
+pub fn scatter_gather_top_k_cancellable<S: CellSource + Sync>(
+    model: &LinearModel,
+    archive: &ShardedArchive<'_, S>,
+    k: usize,
+    budget: &ExecutionBudget,
+    policy: &ScatterPolicy,
+    cancel: &CancelToken,
+    pool: &WorkerPool,
+) -> Result<ShardedTopK, ShardError> {
+    let query = ScatterQuery::solo(model, k, budget, policy, Some(cancel));
+    scatter::<S, S>(&query, archive, &[], &[], pool).map(only_query)
+}
+
+/// Dual-read scatter-gather: [`scatter_gather_top_k`] over the *source*
+/// topology, additionally fanning out to the destination band copies of
+/// an in-flight migration (state `DualRead` of
+/// [`crate::reshard::ReshardCoordinator`]). Per migration group, the
+/// merge uses the source shards' contributions — so a healthy dual-read
+/// stays bit-identical to the plain pre-migration scatter — unless a
+/// migrating source shard fails *and* every destination copy of its
+/// group responded, in which case the whole group's rows are served from
+/// the destination side instead. Group substitution is wholesale (the
+/// suppressed source attempts leave no state in the merge, like a
+/// hedging loser), and a group's destination rows equal its source rows,
+/// so no cell is merged twice and every lost or unrefined destination
+/// region degrades through the same ulp-guarded candidate machinery as
+/// any other shard: bounds stay sound no matter which side served a row.
+///
+/// Quorum accounting is epoch-aware: a migrating source shard served by
+/// its destination cover counts as responded, and only uncovered
+/// failures appear in [`InsufficientShards::failed`], stamped with the
+/// source epoch.
+///
+/// # Errors
+///
+/// [`ShardError::Core`] for invalid inputs or malformed groups;
+/// [`ShardError::Epoch`] when `policy` pins an epoch the archive does
+/// not serve; [`ShardError::Insufficient`] on a quorum miss after
+/// destination covers are credited.
+#[allow(clippy::too_many_arguments)]
+pub fn scatter_gather_top_k_dual<S: CellSource + Sync, D: CellSource + Sync>(
+    model: &LinearModel,
+    archive: &ShardedArchive<'_, S>,
+    dest: &[ArchiveShard<'_, D>],
+    groups: &[DualReadGroup],
+    k: usize,
+    budget: &ExecutionBudget,
+    policy: &ScatterPolicy,
+    pool: &WorkerPool,
+) -> Result<ShardedTopK, ShardError> {
+    let query = ScatterQuery::solo(model, k, budget, policy, None);
+    scatter(&query, archive, dest, groups, pool).map(only_query)
 }
 
 /// Batched scatter-gather top-K: one scatter wave serves every model in
@@ -2207,152 +1432,215 @@ pub fn batched_scatter_gather_top_k<S: CellSource + Sync>(
     policy: &ScatterPolicy,
     pool: &WorkerPool,
 ) -> Result<BatchedShardedTopK, ShardError> {
-    batched_scatter_gather_inner(models, archive, k, budget, policy, None, pool)
+    let query = ScatterQuery {
+        kernel: Kernel::Batched,
+        models,
+        k,
+        budget,
+        policy,
+        cancel: None,
+    };
+    scatter::<S, S>(&query, archive, &[], &[], pool)
 }
 
-/// [`batched_scatter_gather_top_k`] polling a [`CancelToken`] at every
-/// shard's page-granular checkpoints. Cancellation stops every shard at
-/// its next checkpoint and every still-open query degrades with sound
-/// bounds.
-///
-/// # Errors
-///
-/// Same as [`batched_scatter_gather_top_k`].
-pub fn batched_scatter_gather_top_k_cancellable<S: CellSource + Sync>(
-    models: &[LinearModel],
-    archive: &ShardedArchive<'_, S>,
+/// One scatter-gather request, as an entry point hands it to [`scatter`].
+struct ScatterQuery<'a> {
+    kernel: Kernel,
+    models: &'a [LinearModel],
     k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: &CancelToken,
-    pool: &WorkerPool,
-) -> Result<BatchedShardedTopK, ShardError> {
-    batched_scatter_gather_inner(models, archive, k, budget, policy, Some(cancel), pool)
+    budget: &'a ExecutionBudget,
+    policy: &'a ScatterPolicy,
+    cancel: Option<&'a CancelToken>,
 }
 
-fn batched_scatter_gather_inner<S: CellSource + Sync>(
-    models: &[LinearModel],
-    archive: &ShardedArchive<'_, S>,
-    k: usize,
-    budget: &ExecutionBudget,
-    policy: &ScatterPolicy,
-    cancel: Option<&CancelToken>,
-    pool: &WorkerPool,
-) -> Result<BatchedShardedTopK, ShardError> {
-    let m = models.len();
-    if m == 0 {
-        return Ok(BatchedShardedTopK {
-            queries: Vec::new(),
-            pages_read: 0,
-            cells_fetched: 0,
-            cell_requests: 0,
-            bound_evals: 0,
-            bound_requests: 0,
-        });
-    }
-    check_epoch_fence(policy, archive)?;
-    let shards = archive.shards();
-    for shard in shards {
-        validate_grid_inputs(&models[0], shard.pyramids, k).map_err(ShardError::Core)?;
-    }
-    for model in &models[1..] {
-        if model.arity() != models[0].arity() {
-            return Err(ShardError::Core(CoreError::Query(
-                "batched queries must share the model arity".into(),
-            )));
+impl<'a> ScatterQuery<'a> {
+    /// A batch of one model on the solo kernel.
+    fn solo(
+        model: &'a LinearModel,
+        k: usize,
+        budget: &'a ExecutionBudget,
+        policy: &'a ScatterPolicy,
+        cancel: Option<&'a CancelToken>,
+    ) -> Self {
+        ScatterQuery {
+            kernel: Kernel::Solo,
+            models: std::slice::from_ref(model),
+            k,
+            budget,
+            policy,
+            cancel,
         }
     }
-    let n = models[0].arity() as u64;
-    let total_cells = archive.total_cells();
-    let cols = archive.shape().1;
-    let deadline = WallDeadline::starting_now(budget);
-    let bounds: Vec<SharedBound> = (0..m).map(|_| SharedBound::new()).collect();
+}
 
+/// The answer of a scatter run for a single model.
+fn only_query(mut batch: BatchedShardedTopK) -> ShardedTopK {
+    batch.queries.pop().expect("a batch of one model")
+}
+
+/// The scatter-gather driver behind every public entry point. It fences
+/// the epoch and validates inputs; runs the primary wave under the soft
+/// deadline and one hedged re-dispatch of stragglers; when `dest` is not
+/// empty, runs the dual-read destination wave and decides which groups
+/// the destination side serves; applies the quorum; then gathers each
+/// query of the batch apart.
+fn scatter<S: CellSource + Sync, D: CellSource + Sync>(
+    query: &ScatterQuery<'_>,
+    archive: &ShardedArchive<'_, S>,
+    dest: &[ArchiveShard<'_, D>],
+    groups: &[DualReadGroup],
+    pool: &WorkerPool,
+) -> Result<BatchedShardedTopK, ShardError> {
+    let &ScatterQuery {
+        kernel,
+        models,
+        k,
+        budget,
+        policy,
+        cancel,
+    } = query;
+    let mut batch = BatchedShardedTopK {
+        queries: Vec::with_capacity(models.len()),
+        pages_read: 0,
+        cells_fetched: 0,
+        cell_requests: 0,
+        bound_evals: 0,
+        bound_requests: 0,
+    };
+    let Some(first) = models.first() else {
+        return Ok(batch);
+    };
+    check_epoch_fence(policy, archive)?;
+    let shards = archive.shards();
+    let cols = archive.shape().1;
+    for shard in shards {
+        validate_grid_inputs(first, shard.pyramids, k)?;
+    }
+    if models.iter().any(|m| m.arity() != first.arity()) {
+        return Err(ShardError::Core(CoreError::Query(
+            "batched queries must share the model arity".into(),
+        )));
+    }
+    for shard in dest {
+        validate_grid_inputs(first, shard.pyramids, k)?;
+        if shard.cols() != cols {
+            return Err(ShardError::Core(CoreError::Query(format!(
+                "dest shard has {} columns, the archive has {cols}",
+                shard.cols()
+            ))));
+        }
+    }
+    validate_dual_groups(archive, dest, groups)?;
+
+    let n = first.arity() as u64;
+    let total_cells = archive.total_cells();
+    let deadline = WallDeadline::starting_now(budget);
+    let bounds: Vec<SharedBound> = models.iter().map(|_| SharedBound::new()).collect();
+
+    // The soft deadline only engages when it is tighter than the caller's
+    // own tick deadline — otherwise a Deadline stop is the caller's
+    // ceiling, not a straggler signal.
     let soft_engaged = policy
         .shard_soft_deadline_ticks
         .is_some_and(|soft| budget.deadline_ticks.is_none_or(|d| soft < d));
-    let primary_budget = if soft_engaged {
-        ExecutionBudget {
-            deadline_ticks: policy.shard_soft_deadline_ticks,
-            ..*budget
-        }
-    } else {
-        *budget
-    };
-
-    let primary_ctx = BatchScatterCtx {
+    let ctx = ScatterCtx {
+        kernel,
         models,
         k,
         cols,
-        budget: primary_budget,
+        budget: *budget,
         deadline: &deadline,
         cancel,
         bounds: &bounds,
     };
-    let all: Vec<usize> = (0..shards.len()).collect();
-    let mut attempts: Vec<Option<BatchShardAttempt>> = (0..shards.len()).map(|_| None).collect();
-    for (i, attempt) in batched_scatter_wave(&primary_ctx, shards, &all, pool) {
-        attempts[i] = Some(attempt);
-    }
+    let primary_ctx = ScatterCtx {
+        budget: if soft_engaged {
+            ExecutionBudget {
+                deadline_ticks: policy.shard_soft_deadline_ticks,
+                ..*budget
+            }
+        } else {
+            *budget
+        },
+        ..ctx
+    };
+    let mut attempts = full_wave(&primary_ctx, shards, pool);
 
-    // Hedged re-dispatch of stragglers, exactly as in the solo path: the
-    // batch-wide budget means a soft-deadline stop lands on every query
-    // still open in the shard, so "any query stopped on Deadline" is the
-    // straggler signal.
+    // Hedged re-dispatch of stragglers: one retry without the soft
+    // deadline. A batch-wide budget lands a soft-deadline stop on every
+    // query still open in the shard, so any query stopped on Deadline
+    // marks a straggler. First clean finish wins; the losing attempt's
+    // output is discarded wholesale so it leaves no state in the merge.
     let mut hedged = vec![false; shards.len()];
     let mut hedge_won = vec![false; shards.len()];
     if policy.hedge_stragglers && soft_engaged && !cancel.is_some_and(CancelToken::is_cancelled) {
-        let stragglers: Vec<usize> = attempts
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| {
-                a.as_ref().is_some_and(|a| match &a.out {
-                    Ok(o) => o.stops.contains(&Some(BudgetStop::Deadline)),
-                    Err(_) => false,
+        let stragglers: Vec<usize> = (0..shards.len())
+            .filter(|&i| {
+                attempts[i].out.as_ref().is_ok_and(|o| {
+                    o.queries
+                        .iter()
+                        .any(|q| q.stop == Some(BudgetStop::Deadline))
                 })
             })
-            .map(|(i, _)| i)
             .collect();
         if !stragglers.is_empty() {
-            let hedge_ctx = BatchScatterCtx {
-                budget: *budget,
-                ..primary_ctx
+            let unresolved = |o: &ShardOut| -> usize {
+                o.queries
+                    .iter()
+                    .map(|q| q.lost.len() + q.leftover.len())
+                    .sum()
             };
-            for (i, hedge) in batched_scatter_wave(&hedge_ctx, shards, &stragglers, pool) {
+            for (i, hedge) in scatter_wave(&ctx, shards, &stragglers, pool) {
                 hedged[i] = true;
-                let primary = attempts[i].as_ref().expect("primary attempt present");
-                let unresolved = |o: &BatchShardOut| -> usize {
-                    o.lost.iter().map(Vec::len).sum::<usize>()
-                        + o.leftover.iter().map(Vec::len).sum::<usize>()
-                };
-                let wins = match (&primary.out, &hedge.out) {
+                let wins = match (&attempts[i].out, &hedge.out) {
                     (_, Err(_)) => false,
                     (Err(_), Ok(_)) => true,
                     (Ok(p), Ok(h)) => {
-                        h.stops.iter().all(Option::is_none) || unresolved(h) < unresolved(p)
+                        h.queries.iter().all(|q| q.stop.is_none()) || unresolved(h) < unresolved(p)
                     }
                 };
                 if wins {
                     hedge_won[i] = true;
-                    attempts[i] = Some(hedge);
+                    attempts[i] = hedge;
                 }
             }
         }
     }
 
-    // Quorum: shard failure is physical — it errored or evaluated no base
-    // data for anyone — so the verdict is shared by every query.
-    let failed: Vec<usize> = attempts
+    // Dual-read destination wave: after the source wave, against the
+    // caller's own budget (no soft deadline — the copies are fresh and
+    // local), with the same shared bounds. The mature cross-shard floors
+    // make most healthy destination descents exclude their band near the
+    // root, so the dual fan-out costs little extra when nothing fails.
+    let dest_attempts = if dest.is_empty() {
+        Vec::new()
+    } else {
+        full_wave(&ctx, dest, pool)
+    };
+
+    // Per-group substitution: a migration group that lost a source shard
+    // while every destination copy responded is served wholesale from the
+    // destination side; its source attempts leave no state in the merge.
+    let source_failed: Vec<bool> = attempts.iter().map(ShardAttempt::failed).collect();
+    let covered: Vec<bool> = groups
         .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            let attempt = a.as_ref().expect("attempt present");
-            match &attempt.out {
-                Err(_) => true,
-                Ok(o) => o.resolved_reads == 0 && o.lost.iter().any(|l| !l.is_empty()),
-            }
+        .map(|g| {
+            g.source_shards.iter().any(|&s| source_failed[s])
+                && g.dest_shards.iter().all(|&d| !dest_attempts[d].failed())
         })
-        .map(|(i, _)| i)
+        .collect();
+    let mut cover_of: Vec<Option<usize>> = vec![None; shards.len()];
+    for (g, group) in groups.iter().enumerate().filter(|&(g, _)| covered[g]) {
+        for &s in &group.source_shards {
+            cover_of[s] = Some(g);
+        }
+    }
+
+    // Quorum before any merging. Failure is physical, so the verdict is
+    // shared by every query; a source shard whose rows a covered group
+    // served counts as responded.
+    let failed: Vec<usize> = (0..shards.len())
+        .filter(|&i| source_failed[i] && cover_of[i].is_none())
         .collect();
     let responded = shards.len() - failed.len();
     let required = policy.completion.required(shards.len());
@@ -2367,46 +1655,45 @@ fn batched_scatter_gather_inner<S: CellSource + Sync>(
         .into());
     }
 
-    // Same floating-point guard as the solo gather (see the comment
-    // there): widen inexact candidates, never exact hits, and exclude on
-    // the raw bounds.
-    let widen = |bounds: ScoreBounds| -> ScoreBounds {
-        let pad = bounds.hi.abs().max(bounds.lo.abs()).max(1.0) * f64::EPSILON * 16.0;
-        ScoreBounds {
-            lo: bounds.lo - pad,
-            hi: bounds.hi + pad,
-        }
-    };
-
-    let mut pages_read = 0u64;
-    let mut cells_fetched = 0u64;
-    let mut cell_requests = 0u64;
-    let mut bound_evals = 0u64;
-    let mut bound_requests = 0u64;
-    for attempt in attempts.iter().flatten() {
-        pages_read += attempt.pages;
+    for attempt in &attempts {
+        batch.pages_read += attempt.pages;
         if let Ok(o) = &attempt.out {
-            cells_fetched += o.cells_fetched;
-            cell_requests += o.cell_requests;
-            bound_evals += o.bound_evals;
-            bound_requests += o.bound_requests;
+            batch.cells_fetched += o.cells_fetched;
+            batch.cell_requests += o.cell_requests;
+            batch.bound_evals += o.bound_evals;
+            batch.bound_requests += o.bound_requests;
         }
     }
 
-    // Gather, per query: the exact merge of `scatter_gather_inner` run
-    // against that query's model, items, losses, and leftovers.
-    let mut queries = Vec::with_capacity(m);
+    // Every attempt whose rows the merge uses: the source shards no cover
+    // replaced, and the destination copies of covered groups. A group's
+    // rows come from exactly one side, so no cell is merged twice.
+    let served: Vec<&ShardAttempt> = attempts
+        .iter()
+        .zip(&cover_of)
+        .filter(|(_, cover)| cover.is_none())
+        .map(|(a, _)| a)
+        .chain(
+            groups
+                .iter()
+                .zip(&covered)
+                .filter(|&(_, &c)| c)
+                .flat_map(|(g, _)| g.dest_shards.iter().map(|&d| &dest_attempts[d])),
+        )
+        .collect();
+
     for (q, model) in models.iter().enumerate() {
+        // Merge exact items with the shared rank order and derive the
+        // deterministic global K-th floor; only a full merged heap yields
+        // a sound exclusion floor.
         let mut effort = EffortReport {
             multiply_adds: 0,
             naive_multiply_adds: n * total_cells,
         };
         let mut items: Vec<ScoredItem> = Vec::new();
-        for attempt in attempts.iter().flatten() {
-            if let Ok(o) = &attempt.out {
-                effort.multiply_adds += o.efforts[q].multiply_adds;
-                items.extend(o.items[q].iter().copied());
-            }
+        for o in served.iter().filter_map(|a| a.out.as_ref().ok()) {
+            effort.multiply_adds += o.queries[q].effort.multiply_adds;
+            items.extend_from_slice(&o.queries[q].items);
         }
         sort_desc(&mut items);
         items.truncate(k);
@@ -2415,9 +1702,7 @@ fn batched_scatter_gather_inner<S: CellSource + Sync>(
         } else {
             None
         };
-        let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
-
-        let mut hits: Vec<ResilientHit> = items
+        let hits = items
             .into_iter()
             .map(|item| ResilientHit {
                 cell: CellCoord::new(item.index / cols, item.index % cols),
@@ -2427,112 +1712,82 @@ fn batched_scatter_gather_inner<S: CellSource + Sync>(
                 exact: true,
             })
             .collect();
+        let mut gather = Gather {
+            model,
+            q,
+            floor,
+            effort,
+            hits,
+        };
 
+        // Covered groups first: one tally per group over its destination
+        // bands, whose skipped page ids are destination-local (the source
+        // pages were never the ones read).
         let mut unresolved = 0u64;
-        let mut skipped: Vec<(usize, usize)> = Vec::new();
-        let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
-        let mut merged_stop: Option<BudgetStop> = None;
+        let mut ledgers: Vec<(Tally, f64)> = Vec::with_capacity(groups.len());
+        for (group, &is_covered) in groups.iter().zip(&covered) {
+            let mut tally = Tally::default();
+            if is_covered {
+                for &d in &group.dest_shards {
+                    gather.band(&dest[d], &dest_attempts[d], &mut tally)?;
+                }
+            }
+            let cells: u64 = group.source_shards.iter().map(|&s| shards[s].cells()).sum();
+            unresolved += tally.unresolved;
+            let completeness = 1.0 - tally.unresolved as f64 / cells as f64;
+            ledgers.push((tally, completeness));
+        }
 
+        let mut skipped: Vec<(usize, usize)> = Vec::new();
+        let mut merged_stop: Option<BudgetStop> = None;
+        let mut reports: Vec<ShardReport> = Vec::with_capacity(shards.len());
         for (i, shard) in shards.iter().enumerate() {
-            let attempt = attempts[i].as_ref().expect("attempt present");
-            let shard_cells = shard.cells();
-            let mut shard_unresolved = 0u64;
-            let mut shard_skipped: BTreeSet<usize> = BTreeSet::new();
-            let mut exact_hits = 0usize;
-            let mut shard_stop = None;
-            match &attempt.out {
-                Ok(o) => {
-                    exact_hits = o.items[q].len();
-                    shard_stop = o.stops[q];
-                    for region in &o.leftover[q] {
-                        let (mut candidate, count) = region_candidate(
-                            model,
-                            shard.pyramids,
-                            region.level,
-                            region.row,
-                            region.col,
-                            &mut effort,
-                        )
-                        .map_err(ShardError::Core)?;
-                        candidate.cell = CellCoord::new(
-                            candidate.cell.row + shard.row_offset,
-                            candidate.cell.col,
-                        );
-                        if excluded(candidate.bounds.hi) {
-                            continue; // Provably outside the top-K: resolved.
-                        }
-                        shard_unresolved += count;
-                        candidate.bounds = widen(candidate.bounds);
-                        hits.push(candidate);
-                    }
-                    let parent_level = 1.min(shard.pyramids[0].levels() - 1);
-                    for (region, page) in &o.lost[q] {
-                        if excluded(region.ub) {
-                            continue; // Resolved by the deterministic bound.
-                        }
-                        shard_skipped.insert(*page);
-                        let (mut candidate, _) = region_candidate(
-                            model,
-                            shard.pyramids,
-                            parent_level,
-                            region.row >> parent_level,
-                            region.col >> parent_level,
-                            &mut effort,
-                        )
-                        .map_err(ShardError::Core)?;
-                        candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
-                        candidate.level = 0;
-                        shard_unresolved += 1;
-                        candidate.bounds = widen(candidate.bounds);
-                        hits.push(candidate);
-                    }
-                }
-                Err(_) => {
-                    // The whole band degrades to its resident root
-                    // aggregate, per query, exactly as in the solo gather.
-                    let top = shard.pyramids[0].levels() - 1;
-                    let (mut candidate, count) =
-                        region_candidate(model, shard.pyramids, top, 0, 0, &mut effort)
-                            .map_err(ShardError::Core)?;
-                    candidate.cell = CellCoord::new(shard.row_offset, 0);
-                    if !excluded(candidate.bounds.hi) {
-                        shard_unresolved += count;
-                        candidate.bounds = widen(candidate.bounds);
-                        hits.push(candidate);
-                    }
-                }
-            }
-            if let Some(stop) = shard_stop {
-                if merged_stop.is_none_or(|ms| stop_severity(stop) > stop_severity(ms)) {
-                    merged_stop = Some(stop);
-                }
-            }
-            let outcome = if failed.contains(&i) {
-                ShardOutcome::Failed
-            } else if soft_engaged && !hedge_won[i] && shard_stop == Some(BudgetStop::Deadline) {
-                ShardOutcome::TimedOut
-            } else if shard_unresolved > 0 || shard_stop.is_some() {
-                ShardOutcome::Degraded
+            let (tally, outcome, completeness) = if let Some(g) = cover_of[i] {
+                // The group's tally lands on its first (lowest) band, which
+                // takes it; later members find it empty. Every member
+                // shares the group's completeness (cell-weighted, the
+                // per-shard fractions sum back to the group's).
+                let (tally, completeness) = &mut ledgers[g];
+                (std::mem::take(tally), ShardOutcome::Covered, *completeness)
             } else {
-                ShardOutcome::Complete
+                let mut tally = Tally::default();
+                gather.band(shard, &attempts[i], &mut tally)?;
+                let outcome = if source_failed[i] {
+                    ShardOutcome::Failed
+                } else if soft_engaged && !hedge_won[i] && tally.stop == Some(BudgetStop::Deadline)
+                {
+                    ShardOutcome::TimedOut
+                } else if tally.unresolved > 0 || tally.stop.is_some() {
+                    ShardOutcome::Degraded
+                } else {
+                    ShardOutcome::Complete
+                };
+                unresolved += tally.unresolved;
+                let completeness = 1.0 - tally.unresolved as f64 / shard.cells() as f64;
+                (tally, outcome, completeness)
             };
-            unresolved += shard_unresolved;
-            skipped.extend(shard_skipped.iter().map(|&p| (i, p)));
+            merge_stop(&mut merged_stop, tally.stop);
+            skipped.extend(tally.skipped.iter().map(|&p| (i, p)));
             reports.push(ShardReport {
                 shard: i,
                 outcome,
-                completeness: 1.0 - shard_unresolved as f64 / shard_cells as f64,
-                exact_hits,
-                skipped_pages: shard_skipped.into_iter().collect(),
-                budget_stop: shard_stop,
-                pages_read: attempt.pages,
-                ticks: attempt.ticks,
+                completeness,
+                exact_hits: tally.exact_hits,
+                skipped_pages: tally.skipped.into_iter().collect(),
+                budget_stop: tally.stop,
+                pages_read: tally.pages,
+                ticks: tally.ticks,
                 hedged: hedged[i],
                 hedge_won: hedge_won[i],
-                cells: shard_cells,
+                cells: shard.cells(),
             });
         }
 
+        // Rank by upper bound first — the shared final comparator of the
+        // resilient engines: exact hits have hi == score, and truncation
+        // can never drop the only candidate that might still be the true
+        // winner.
+        let mut hits = gather.hits;
         hits.sort_by(|a, b| {
             b.bounds
                 .hi
@@ -2541,25 +1796,120 @@ fn batched_scatter_gather_inner<S: CellSource + Sync>(
                 .then_with(|| a.cell.cmp(&b.cell))
         });
         hits.truncate(k);
-
-        queries.push(ShardedTopK {
+        batch.queries.push(ShardedTopK {
             results: hits,
-            effort,
+            effort: gather.effort,
             completeness: 1.0 - unresolved as f64 / total_cells as f64,
             skipped_pages: skipped,
             budget_stop: merged_stop,
             shards: reports,
         });
     }
+    Ok(batch)
+}
 
-    Ok(BatchedShardedTopK {
-        queries,
-        pages_read,
-        cells_fetched,
-        cell_requests,
-        bound_evals,
-        bound_requests,
-    })
+/// One band's (or one covered group's) share of a query's gather.
+#[derive(Default)]
+struct Tally {
+    /// Base cells left unresolved by the merged floor.
+    unresolved: u64,
+    /// Band-local pages whose failed reads left cells unresolved.
+    skipped: BTreeSet<usize>,
+    exact_hits: usize,
+    stop: Option<BudgetStop>,
+    pages: u64,
+    ticks: u64,
+}
+
+/// One query's gather state: its model and index in the batch, the
+/// deterministic merged K-th floor, and the effort and hits so far.
+struct Gather<'a> {
+    model: &'a LinearModel,
+    q: usize,
+    floor: Option<f64>,
+    effort: EffortReport,
+    hits: Vec<ResilientHit>,
+}
+
+impl Gather<'_> {
+    /// Resolves one band attempt's share of the query against the merged
+    /// floor, adding its accounting to `tally`. Leftover regions and lost
+    /// cells above the floor become widened candidates (a lost cell is
+    /// bounded by its parent aggregate); a failed attempt's whole band
+    /// degrades to its resident root aggregate, the deepest bound that
+    /// depends on no page data. Anything the floor excludes is resolved.
+    fn band<X>(
+        &mut self,
+        shard: &ArchiveShard<'_, X>,
+        attempt: &ShardAttempt,
+        tally: &mut Tally,
+    ) -> Result<(), ShardError> {
+        tally.pages += attempt.pages;
+        tally.ticks += attempt.ticks;
+        let floor = self.floor;
+        let excluded = |hi: f64| floor.is_some_and(|f| f >= hi);
+        let levels = shard.pyramids[0].levels();
+        let Ok(out) = &attempt.out else {
+            let (mut candidate, count) = region_candidate(
+                self.model,
+                shard.pyramids,
+                levels - 1,
+                0,
+                0,
+                &mut self.effort,
+            )?;
+            candidate.cell = CellCoord::new(shard.row_offset, 0);
+            if !excluded(candidate.bounds.hi) {
+                self.keep(candidate, count, tally);
+            }
+            return Ok(());
+        };
+        let part = &out.queries[self.q];
+        tally.exact_hits += part.items.len();
+        merge_stop(&mut tally.stop, part.stop);
+        for region in &part.leftover {
+            let (mut candidate, count) = region_candidate(
+                self.model,
+                shard.pyramids,
+                region.level,
+                region.row,
+                region.col,
+                &mut self.effort,
+            )?;
+            candidate.cell =
+                CellCoord::new(candidate.cell.row + shard.row_offset, candidate.cell.col);
+            if !excluded(candidate.bounds.hi) {
+                self.keep(candidate, count, tally);
+            }
+        }
+        let parent_level = 1.min(levels - 1);
+        for (region, page) in &part.lost {
+            if excluded(region.ub) {
+                continue;
+            }
+            tally.skipped.insert(*page);
+            let (mut candidate, _) = region_candidate(
+                self.model,
+                shard.pyramids,
+                parent_level,
+                region.row >> parent_level,
+                region.col >> parent_level,
+                &mut self.effort,
+            )?;
+            candidate.cell = CellCoord::new(region.row + shard.row_offset, region.col);
+            candidate.level = 0;
+            self.keep(candidate, 1, tally);
+        }
+        Ok(())
+    }
+
+    /// Keeps an inexact candidate standing for `count` unresolved cells,
+    /// its bounds widened by the ulp guard.
+    fn keep(&mut self, mut candidate: ResilientHit, count: u64, tally: &mut Tally) {
+        tally.unresolved += count;
+        candidate.bounds = widen(candidate.bounds);
+        self.hits.push(candidate);
+    }
 }
 
 #[cfg(test)]
@@ -3032,6 +2382,75 @@ mod tests {
     }
 
     #[test]
+    fn healthy_dual_read_equals_plain_scatter_under_hedging_and_a_dead_shard() {
+        let (model, global, mut worlds) = sharded_world(2, 64, 64, 4, 4);
+        // The destination copies: the same world cut into 8-row bands.
+        let (_, _, fine) = sharded_world(2, 64, 64, 4, 8);
+        let reference_stores: Vec<TileStore> = (0..2)
+            .map(|i| TileStore::new(smooth_grid(i, 64, 64), 4).unwrap())
+            .collect();
+        let reference_src = TileSource::new(&reference_stores).unwrap();
+        let reference = resilient_top_k(
+            &model,
+            &global,
+            5,
+            &reference_src,
+            &ExecutionBudget::unlimited(),
+        )
+        .unwrap();
+        // The winner's band straggles; the first other band dies before
+        // any floor exists (one pool thread runs bands in order); the
+        // next band migrates, healthy on both sides.
+        let slow = reference.results[0].cell.row / (64 / 4);
+        let dead = usize::from(slow == 0);
+        let migrating = (0..4).find(|&s| s != slow && s != dead).unwrap();
+        let profile = (0..worlds[slow].stores[0].page_count())
+            .fold(FaultProfile::new(0), |p, page| p.latency(page, 10_000));
+        worlds[slow].stores = worlds[slow]
+            .stores
+            .iter()
+            .map(|s| s.clone().with_faults(profile.clone()))
+            .collect();
+        kill_shard(&mut worlds[dead]);
+        let dest_worlds = &fine[2 * migrating..2 * migrating + 2];
+        let groups = vec![DualReadGroup {
+            source_shards: vec![migrating],
+            dest_shards: vec![0, 1],
+        }];
+        with_archive(&worlds, |archive| {
+            let dest_sources: Vec<TileSource<'_>> = dest_worlds
+                .iter()
+                .map(|w| TileSource::new(&w.stores).unwrap())
+                .collect();
+            let dest: Vec<ArchiveShard<'_, TileSource<'_>>> = dest_worlds
+                .iter()
+                .zip(&dest_sources)
+                .map(|(w, src)| ArchiveShard::new(&w.pyramids, src, w.row_offset))
+                .collect();
+            let pool = WorkerPool::new(1);
+            let budget = ExecutionBudget::unlimited();
+            let policy = ScatterPolicy::best_effort()
+                .with_soft_deadline_ticks(5_000)
+                .with_hedged_stragglers();
+            let plain = scatter_gather_top_k(&model, archive, 5, &budget, &policy, &pool).unwrap();
+            let dual = scatter_gather_top_k_dual(
+                &model, archive, &dest, &groups, 5, &budget, &policy, &pool,
+            )
+            .unwrap();
+            // The setup really hedges, really loses a shard, covers nothing.
+            assert!(plain.shards[slow].hedged);
+            assert_eq!(plain.shards[dead].outcome, ShardOutcome::Failed);
+            assert!(dual
+                .shards
+                .iter()
+                .all(|s| s.outcome != ShardOutcome::Covered));
+            // Results, effort, completeness, skipped pages, stop and every
+            // per-shard report field.
+            assert_eq!(dual, plain);
+        });
+    }
+
+    #[test]
     fn pre_cancelled_query_degrades_identically_at_every_thread_count() {
         let (model, _, worlds) = sharded_world(2, 32, 32, 4, 4);
         with_archive(&worlds, |archive| {
@@ -3400,16 +2819,17 @@ mod tests {
         with_archive(&worlds, |archive| {
             let token = CancelToken::new();
             token.cancel();
-            let batch = batched_scatter_gather_top_k_cancellable(
-                &models,
-                archive,
-                3,
-                &ExecutionBudget::unlimited(),
-                &ScatterPolicy::best_effort(),
-                &token,
-                &WorkerPool::new(2),
-            )
-            .unwrap();
+            let query = ScatterQuery {
+                kernel: Kernel::Batched,
+                models: &models,
+                k: 3,
+                budget: &ExecutionBudget::unlimited(),
+                policy: &ScatterPolicy::best_effort(),
+                cancel: Some(&token),
+            };
+            let batch =
+                scatter::<_, TileSource<'_>>(&query, archive, &[], &[], &WorkerPool::new(2))
+                    .unwrap();
             for q in &batch.queries {
                 assert_eq!(q.budget_stop, Some(BudgetStop::Cancelled));
                 assert!(q.completeness < 1.0);

@@ -15,7 +15,7 @@
 //! 1. **Journal durable** — every attribute's band is framed and
 //!    checksummed into one shared [`AppendJournal`] (one record per
 //!    attribute, all carrying the same row offset). A crash here (an armed
-//!    [`WriteFault`](mbir_archive::fault::WriteFault)) leaves at most a
+//!    [`WriteFault`]) leaves at most a
 //!    torn suffix that recovery provably truncates.
 //! 2. **Build** — epoch N+1 is built from epoch N's snapshot: each
 //!    attribute's pyramid and tile store is cloned (chunk pointers only)

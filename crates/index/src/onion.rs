@@ -1584,7 +1584,7 @@ mod tests {
     #[test]
     fn degenerate_collinear_points_still_work() {
         let points: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let onion = OnionIndex::build(points.clone()).unwrap();
+        let onion = OnionIndex::build(points).unwrap();
         let fast = onion.top_k_max(&[1.0, 0.0], 3).unwrap();
         assert_eq!(fast.indexes(), vec![19, 18, 17]);
     }
@@ -1637,7 +1637,8 @@ mod tests {
         let weights = vec![22.0, -4.0, 120.0, -2.5, 15.0, 70.0];
         let plain = OnionIndex::build(points.clone()).unwrap();
         let hinted =
-            OnionIndex::build_with_hints(points.clone(), &[weights.clone()], 64, 32, 7).unwrap();
+            OnionIndex::build_with_hints(points.clone(), std::slice::from_ref(&weights), 64, 32, 7)
+                .unwrap();
         let k = 10;
         let slow = scan_top_k(&points, k, |p| {
             weights.iter().zip(p).map(|(a, v)| a * v).sum()
@@ -1721,7 +1722,8 @@ mod tests {
         let points = gaussian_points(21, 1000, 3);
         let dir = vec![0.5, -0.3, 0.8];
         let mut onion =
-            OnionIndex::build_with_hints(points.clone(), &[dir.clone()], 64, 32, 7).unwrap();
+            OnionIndex::build_with_hints(points.clone(), std::slice::from_ref(&dir), 64, 32, 7)
+                .unwrap();
         // Insert 200 new points, some of them new optima.
         let mut all = points;
         let extra = gaussian_points(99, 200, 3);
@@ -1757,8 +1759,14 @@ mod tests {
         for d in [2usize, 3] {
             let points = gaussian_points(41 + d as u64, 1200, d);
             let hint: Vec<f64> = (0..d).map(|i| if i == 0 { 1.0 } else { -0.2 }).collect();
-            let mut onion =
-                OnionIndex::build_with_hints(points.clone(), &[hint.clone()], 64, 32, 7).unwrap();
+            let mut onion = OnionIndex::build_with_hints(
+                points.clone(),
+                std::slice::from_ref(&hint),
+                64,
+                32,
+                7,
+            )
+            .unwrap();
             let layers_before = onion.layer_count();
             // A deep batch: interior points well inside the cloud.
             let deep: Vec<Vec<f64>> = gaussian_points(77, 40, d)
@@ -1836,7 +1844,9 @@ mod tests {
         // Hinted parallel builds match hinted sequential builds too.
         let points = gaussian_points(53, 400, 3);
         let hint = vec![0.5, -0.25, 1.0];
-        let seq = OnionIndex::build_with_hints(points.clone(), &[hint.clone()], 16, 16, 3).unwrap();
+        let seq =
+            OnionIndex::build_with_hints(points.clone(), std::slice::from_ref(&hint), 16, 16, 3)
+                .unwrap();
         let par = OnionIndex::build_with_hints_threads(points, &[hint], 16, 16, 3, 4).unwrap();
         assert_eq!(par.layers, seq.layers);
         assert_eq!(par.hint_support, seq.hint_support);
@@ -1913,7 +1923,7 @@ mod tests {
     #[test]
     fn insert_drops_quant_and_rebuild_restores_it() {
         let points = gaussian_points(41, 800, 3);
-        let mut onion = OnionIndex::build_quantized(points.clone()).unwrap();
+        let mut onion = OnionIndex::build_quantized(points).unwrap();
         assert!(onion.is_quantized());
         onion.insert(vec![9.0, 9.0, 9.0]).unwrap();
         assert!(!onion.is_quantized(), "stale quant must be dropped");

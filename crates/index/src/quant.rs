@@ -42,8 +42,8 @@
 //! The per-block slack is `Σ|a_j|·err_j + γ(M + B + 2C)` with
 //! `B = Σ|a_j|·|bias_j|` and `γ = (2d + 8)ε` (a deliberately generous
 //! constant for every ≤ d+2-term sum involved), padded once more
-//! relatively and absolutely ([`pad_up`]) to absorb the final additions.
-//! A block whose magnitude sum `M` exceeds [`OVERFLOW_GUARD`] is marked
+//! relatively and absolutely (`pad_up`) to absorb the final additions.
+//! A block whose magnitude sum `M` exceeds `OVERFLOW_GUARD` is marked
 //! unusable for that query (bound `+∞`, never pruned): below the guard
 //! no partial sum of the exact kernel can overflow, which rules out NaN
 //! scores sneaking past a finite bound.
